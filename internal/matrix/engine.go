@@ -367,20 +367,19 @@ func (e *Engine) RestartFromProvenance(priorExecID string, req *dgl.Request) (*E
 	if err := dgl.ValidateFlow(req.Flow, e.knownOps()); err != nil {
 		return nil, err
 	}
+	prior := e.grid.Provenance().Query(provenance.Filter{FlowID: priorExecID})
+	if len(prior) == 0 {
+		// Records without a completed step still allow a valid (full)
+		// re-run, but no records at all usually means a typo.
+		return nil, fmt.Errorf("%w: no provenance for execution %s", ErrNotFound, priorExecID)
+	}
 	skip := make(map[string]bool)
-	for _, rec := range e.grid.Provenance().Query(provenance.Filter{FlowID: priorExecID}) {
+	for _, rec := range prior {
 		switch {
 		case rec.Action == "step.finish" && rec.Outcome == provenance.OutcomeOK:
 			skip[rec.StepID] = true
 		case rec.Action == "step.skip":
 			skip[rec.StepID] = true
-		}
-	}
-	if len(skip) == 0 {
-		// Nothing recorded: still a valid (full) re-run, but flag a
-		// missing prior id loudly since it usually means a typo.
-		if e.grid.Provenance().Count(provenance.Filter{FlowID: priorExecID}) == 0 {
-			return nil, fmt.Errorf("%w: no provenance for execution %s", ErrNotFound, priorExecID)
 		}
 	}
 	governed, err := e.admitGoverned(req.User.Name)
