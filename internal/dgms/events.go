@@ -7,6 +7,7 @@ package dgms
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datagridflow/internal/sim"
@@ -60,6 +61,9 @@ type Event struct {
 	User   string
 	Time   time.Time
 	Detail map[string]string // resource names, sizes, attribute values...
+	// Seq numbers the delivery. Publish stamps it: every subscriber of
+	// one delivery sees the same Seq, and no two deliveries share one.
+	Seq uint64
 }
 
 // Handler receives events. Returning a non-nil error from a Before
@@ -100,6 +104,7 @@ type Bus struct {
 	subs   []subscription
 	order  DeliveryOrder
 	rng    *sim.Rand
+	seq    atomic.Uint64
 
 	afterErrs []error
 }
@@ -153,6 +158,7 @@ func (b *Bus) Unsubscribe(id int64) {
 // returned (the veto). For After events all handlers run; their errors
 // are recorded and retrievable via AfterErrors.
 func (b *Bus) Publish(ev Event) error {
+	ev.Seq = b.seq.Add(1)
 	b.mu.RLock()
 	matching := make([]subscription, 0, len(b.subs))
 	for _, s := range b.subs {

@@ -43,7 +43,7 @@ func (p Perm) Allows(q Perm) bool { return p >= q }
 func (ns *Namespace) SetPermission(path, user string, p Perm) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -66,31 +66,26 @@ const Wildcard = "*"
 func (ns *Namespace) Permission(path, user string) (Perm, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, ancestors, err := ns.resolve(path)
+	n, eff, err := ns.walk(path, user, true)
 	if err != nil {
 		return PermNone, err
 	}
 	if n.owner == user {
 		return PermOwn, nil
 	}
-	eff := PermNone
-	found := false
-	for _, a := range ancestors {
-		if a.acl == nil {
-			continue
-		}
-		if p, ok := a.acl[user]; ok {
-			eff = p // deepest explicit grant wins
-			found = true
-		} else if p, ok := a.acl[Wildcard]; ok {
-			eff = p
-			found = true
-		}
-	}
-	if !found {
-		return PermNone, nil
-	}
 	return eff, nil
+}
+
+// grant returns n's explicit grant to user, else its Wildcard grant, else
+// inherited: the deepest explicit grant wins.
+func (n *node) grant(user string, inherited Perm) Perm {
+	if p, ok := n.acl[user]; ok {
+		return p
+	}
+	if p, ok := n.acl[Wildcard]; ok {
+		return p
+	}
+	return inherited
 }
 
 // Check returns nil when user holds at least `need` on path, and a

@@ -107,25 +107,42 @@ func New(admin string) *Namespace {
 }
 
 // resolve walks to the node at path. Caller must hold at least RLock.
-func (ns *Namespace) resolve(path string) (*node, []*node, error) {
-	parts, err := SplitPath(path)
+func (ns *Namespace) resolve(path string) (*node, error) {
+	n, _, err := ns.walk(path, "", false)
+	return n, err
+}
+
+// walk steps through the components of path in place, without
+// allocating unless path needs cleaning or the walk fails. With acl set
+// it also returns the deepest explicit grant to user on the way from the
+// root (a Wildcard grant counts where a node names no grant for user),
+// or PermNone when there is none. Caller must hold at least RLock.
+func (ns *Namespace) walk(path, user string, acl bool) (*node, Perm, error) {
+	clean, err := CleanPath(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, PermNone, err
 	}
 	cur := ns.root
-	ancestors := []*node{cur}
-	for _, part := range parts {
+	eff := PermNone
+	if acl {
+		eff = cur.grant(user, eff)
+	}
+	for rest := clean[1:]; rest != ""; {
+		var part string
+		part, rest = nextSegment(rest)
 		if cur.kind != KindCollection {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNotCollection, path)
+			return nil, PermNone, fmt.Errorf("%w: %s", ErrNotCollection, path)
 		}
 		next, ok := cur.children[part]
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+			return nil, PermNone, fmt.Errorf("%w: %s", ErrNotFound, path)
 		}
 		cur = next
-		ancestors = append(ancestors, cur)
+		if acl {
+			eff = cur.grant(user, eff)
+		}
 	}
-	return cur, ancestors, nil
+	return cur, eff, nil
 }
 
 // MkCollection creates a collection at path; the parent must exist.
@@ -139,7 +156,7 @@ func (ns *Namespace) MkCollection(path, owner, domain string, now time.Time) err
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	parent, _, err := ns.resolve(Parent(clean))
+	parent, err := ns.resolve(Parent(clean))
 	if err != nil {
 		return err
 	}
@@ -165,14 +182,16 @@ func (ns *Namespace) MkCollection(path, owner, domain string, now time.Time) err
 // MkCollectionAll creates a collection and any missing ancestors, like
 // `mkdir -p`. Existing collections along the way are left untouched.
 func (ns *Namespace) MkCollectionAll(path, owner, domain string, now time.Time) error {
-	parts, err := SplitPath(path)
+	clean, err := CleanPath(path)
 	if err != nil {
 		return err
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	cur := ns.root
-	for _, part := range parts {
+	for rest := clean[1:]; rest != ""; {
+		var part string
+		part, rest = nextSegment(rest)
 		if cur.kind != KindCollection {
 			return fmt.Errorf("%w: %s", ErrNotCollection, part)
 		}
@@ -213,7 +232,7 @@ func (ns *Namespace) CreateObject(path, owner, domain string, size int64, now ti
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	parent, _, err := ns.resolve(Parent(clean))
+	parent, err := ns.resolve(Parent(clean))
 	if err != nil {
 		return err
 	}
@@ -244,7 +263,7 @@ func (ns *Namespace) Lookup(path string) (Entry, error) {
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(clean)
+	n, err := ns.resolve(clean)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -266,7 +285,7 @@ func (ns *Namespace) List(path string) ([]Entry, error) {
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(clean)
+	n, err := ns.resolve(clean)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +318,7 @@ func (ns *Namespace) Walk(root string, fn func(Entry) error) error {
 	}
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(clean)
+	n, err := ns.resolve(clean)
 	if err != nil {
 		return err
 	}
@@ -338,14 +357,14 @@ func (ns *Namespace) Remove(path string) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(clean)
+	n, err := ns.resolve(clean)
 	if err != nil {
 		return err
 	}
 	if n.kind != KindObject {
 		return fmt.Errorf("%w: %s", ErrNotObject, clean)
 	}
-	parent, _, err := ns.resolve(Parent(clean))
+	parent, err := ns.resolve(Parent(clean))
 	if err != nil {
 		return err
 	}
@@ -365,7 +384,7 @@ func (ns *Namespace) RemoveCollection(path string, recursive bool) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(clean)
+	n, err := ns.resolve(clean)
 	if err != nil {
 		return err
 	}
@@ -375,7 +394,7 @@ func (ns *Namespace) RemoveCollection(path string, recursive bool) error {
 	if !recursive && len(n.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, clean)
 	}
-	parent, _, err := ns.resolve(Parent(clean))
+	parent, err := ns.resolve(Parent(clean))
 	if err != nil {
 		return err
 	}
@@ -404,11 +423,11 @@ func (ns *Namespace) Move(src, dst string) error {
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(cs)
+	n, err := ns.resolve(cs)
 	if err != nil {
 		return err
 	}
-	dstParent, _, err := ns.resolve(Parent(cd))
+	dstParent, err := ns.resolve(Parent(cd))
 	if err != nil {
 		return err
 	}
@@ -418,7 +437,7 @@ func (ns *Namespace) Move(src, dst string) error {
 	if _, ok := dstParent.children[Base(cd)]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, cd)
 	}
-	srcParent, _, err := ns.resolve(Parent(cs))
+	srcParent, err := ns.resolve(Parent(cs))
 	if err != nil {
 		return err
 	}
@@ -480,7 +499,7 @@ func (ns *Namespace) objectNode(path string) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, _, err := ns.resolve(clean)
+	n, err := ns.resolve(clean)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +513,7 @@ func (ns *Namespace) objectNode(path string) (*node, error) {
 func (ns *Namespace) SetMeta(path, attr, value string) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -507,7 +526,7 @@ func (ns *Namespace) SetMeta(path, attr, value string) error {
 func (ns *Namespace) DeleteMeta(path, attr string) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return err
 	}
@@ -519,7 +538,7 @@ func (ns *Namespace) DeleteMeta(path, attr string) error {
 func (ns *Namespace) GetMeta(path, attr string) (string, bool, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	n, _, err := ns.resolve(path)
+	n, err := ns.resolve(path)
 	if err != nil {
 		return "", false, err
 	}

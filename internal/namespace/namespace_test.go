@@ -479,6 +479,23 @@ func BenchmarkLookupDeep(b *testing.B) {
 	}
 }
 
+func BenchmarkCheck(b *testing.B) {
+	ns := New("admin")
+	path := "/a/b/c/d/e/f/g/h"
+	if err := ns.MkCollectionAll(path, "u", "d", sim.Epoch); err != nil {
+		b.Fatal(err)
+	}
+	if err := ns.SetPermission("/a/b", "collab", PermWrite); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ns.Check(path, "collab", PermWrite); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSearchMeta(b *testing.B) {
 	ns := New("admin")
 	if err := ns.MkCollectionAll("/data", "u", "d", sim.Epoch); err != nil {
@@ -528,5 +545,127 @@ func TestWildcardPermission(t *testing.T) {
 	}
 	if err := ns.Check("/home/library/book.pdf", "anyone-at-all", PermRead); !errors.Is(err, ErrDenied) {
 		t.Errorf("deep wildcard revoke ignored: %v", err)
+	}
+}
+
+// permissionRef is Permission computed the way it was before the ACL
+// walk folded into path resolution: collect every node on the path, then
+// take the deepest explicit grant.
+func permissionRef(ns *Namespace, path, user string) Perm {
+	parts, err := SplitPath(path)
+	if err != nil {
+		return PermNone
+	}
+	cur := ns.root
+	ancestors := []*node{cur}
+	for _, part := range parts {
+		cur = cur.children[part]
+		ancestors = append(ancestors, cur)
+	}
+	if cur.owner == user {
+		return PermOwn
+	}
+	eff := PermNone
+	for _, a := range ancestors {
+		if p, ok := a.acl[user]; ok {
+			eff = p
+		} else if p, ok := a.acl[Wildcard]; ok {
+			eff = p
+		}
+	}
+	return eff
+}
+
+// TestPermissionGrantDepths pins the ACL walk: grants on the root, on
+// intermediate collections and on the target itself, to a user and to
+// Wildcard, each combination checked against the expected level and the
+// ancestors-list reference.
+func TestPermissionGrantDepths(t *testing.T) {
+	type grant struct {
+		path, user string
+		p          Perm
+	}
+	const target = "/top/mid/t.dat"
+	cases := []struct {
+		name   string
+		grants []grant
+		user   string
+		want   Perm // on target
+		mid    Perm // on /top/mid
+	}{
+		{"no grants", nil, "u", PermNone, PermNone},
+		{"root user", []grant{{"/", "u", PermRead}}, "u", PermRead, PermRead},
+		{"root wildcard", []grant{{"/", Wildcard, PermRead}}, "u", PermRead, PermRead},
+		{"intermediate revoke", []grant{{"/", "u", PermWrite}, {"/top", "u", PermNone}}, "u", PermNone, PermNone},
+		{"deeper user beats shallower wildcard", []grant{{"/", Wildcard, PermWrite}, {"/top", "u", PermRead}}, "u", PermRead, PermRead},
+		{"deeper wildcard beats shallower user", []grant{{"/top", "u", PermRead}, {"/top/mid", Wildcard, PermWrite}}, "u", PermWrite, PermWrite},
+		{"same-depth user beats wildcard", []grant{{"/top/mid", Wildcard, PermNone}, {"/top/mid", "u", PermWrite}}, "u", PermWrite, PermWrite},
+		{"target user grant", []grant{{"/top/mid", Wildcard, PermWrite}, {target, "u", PermRead}}, "u", PermRead, PermWrite},
+		{"target wildcard revoke", []grant{{"/", "u", PermOwn}, {target, Wildcard, PermNone}}, "u", PermNone, PermOwn},
+		{"target grant does not reach up", []grant{{target, "u", PermWrite}}, "u", PermWrite, PermNone},
+		{"other user's grant ignored", []grant{{"/top", "v", PermOwn}}, "u", PermNone, PermNone},
+		{"owner beats revoke", []grant{{"/", "o", PermNone}, {target, "o", PermNone}}, "o", PermOwn, PermOwn},
+		{"admin owns root only", nil, "admin", PermOwn, PermOwn},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ns := New("admin")
+			if err := ns.MkCollectionAll("/top/mid", "o", "d", sim.Epoch); err != nil {
+				t.Fatal(err)
+			}
+			if err := ns.CreateObject(target, "o", "d", 1, sim.Epoch); err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range c.grants {
+				if err := ns.SetPermission(g.path, g.user, g.p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for path, want := range map[string]Perm{target: c.want, "/top/mid": c.mid} {
+				got, err := ns.Permission(path, c.user)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("Permission(%s, %s) = %v, want %v", path, c.user, got, want)
+				}
+				if ref := permissionRef(ns, path, c.user); got != ref {
+					t.Errorf("Permission(%s, %s) = %v, reference %v", path, c.user, got, ref)
+				}
+			}
+		})
+	}
+	if _, err := New("admin").Permission("/missing/x", "u"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Permission on a missing path: %v", err)
+	}
+}
+
+// TestHotPathAllocs pins the per-op namespace cost of a dgms operation:
+// a permission check and a metadata read on a clean existing path
+// allocate nothing.
+func TestHotPathAllocs(t *testing.T) {
+	ns := newNS(t)
+	const path = "/home/scec/runs/wave1.dat"
+	if err := ns.SetPermission("/home/scec", "collab", PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.SetMeta(path, "class", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]func() error{
+		"Check/owner": func() error { return ns.Check(path, "scientist", PermWrite) },
+		"Check/grant": func() error { return ns.Check(path, "collab", PermWrite) },
+		"GetMeta": func() error {
+			_, _, err := ns.GetMeta(path, "class")
+			return err
+		},
+	}
+	for name, op := range ops {
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = op() }); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", name, n)
+		}
 	}
 }

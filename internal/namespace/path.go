@@ -37,8 +37,12 @@ var (
 
 // CleanPath normalizes a logical path: it must be absolute, components are
 // separated by single slashes, "." and empty components collapse, and ".."
-// is rejected (grid paths are not relative).
+// is rejected (grid paths are not relative). A path that is already clean
+// is returned as is, without allocating.
 func CleanPath(p string) (string, error) {
+	if isClean(p) {
+		return p, nil
+	}
 	if p == "" || p[0] != '/' {
 		return "", fmt.Errorf("%w: %q must be absolute", ErrBadPath, p)
 	}
@@ -57,6 +61,39 @@ func CleanPath(p string) (string, error) {
 		return "/", nil
 	}
 	return "/" + strings.Join(out, "/"), nil
+}
+
+// isClean reports whether p is already in CleanPath's output form: "/",
+// or "/" followed by slash-separated components none of which is empty,
+// "." or "..".
+func isClean(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		switch p[start:i] {
+		case "", ".", "..":
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
+// nextSegment splits the first component off rest, a clean path with its
+// leading slash removed.
+func nextSegment(rest string) (seg, tail string) {
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		return rest[:i], rest[i+1:]
+	}
+	return rest, ""
 }
 
 // SplitPath returns the cleaned components of an absolute path; "/" yields

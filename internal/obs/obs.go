@@ -25,7 +25,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,24 +118,58 @@ func (h *Histogram) Count() int64 {
 // Registry holds one process's (or one grid's) metrics and its trace
 // stream. The zero value is not usable; call NewRegistry.
 type Registry struct {
+	now      atomic.Pointer[func() time.Time]
 	mu       sync.RWMutex
-	now      func() time.Time
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters family[Counter]
+	gauges   family[Gauge]
+	hists    family[Histogram]
 	trace    *TraceBuffer
+}
+
+// family indexes one kind of series twice: by canonical key, which holds
+// every series and orders snapshots, and by short key, which finds an
+// existing no-label or one-pair series without building a label map or
+// a canonical key.
+type family[T any] struct {
+	all   map[string]*T
+	short map[shortKey]*T
+}
+
+func newFamily[T any]() family[T] {
+	return family[T]{all: make(map[string]*T), short: make(map[shortKey]*T)}
+}
+
+// shortKey identifies a series named with no label pairs or with one;
+// labelled tells Counter("m") from Counter("m", "", "").
+type shortKey struct {
+	name, label, value string
+	labelled           bool
+}
+
+// shortKeyOf returns the short key of a lookup and whether it has one.
+// An odd trailing label gets an empty value, as in labelMap.
+func shortKeyOf(name string, kv []string) (shortKey, bool) {
+	switch len(kv) {
+	case 0:
+		return shortKey{name: name}, true
+	case 1:
+		return shortKey{name: name, label: kv[0], labelled: true}, true
+	case 2:
+		return shortKey{name: name, label: kv[0], value: kv[1], labelled: true}, true
+	}
+	return shortKey{}, false
 }
 
 // NewRegistry returns an empty registry stamping with the wall clock and
 // a trace ring buffer of DefaultTraceCap events.
 func NewRegistry() *Registry {
 	r := &Registry{
-		now:      time.Now,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters: newFamily[Counter](),
+		gauges:   newFamily[Gauge](),
+		hists:    newFamily[Histogram](),
 		trace:    NewTraceBuffer(DefaultTraceCap),
 	}
+	r.SetNow(time.Now)
 	return r
 }
 
@@ -151,42 +184,46 @@ func Default() *Registry { return std }
 
 // SetNow replaces the registry's time source (e.g. a sim.VirtualClock's
 // Now) so snapshots and trace events carry simulated timestamps.
-func (r *Registry) SetNow(now func() time.Time) {
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
+func (r *Registry) SetNow(now func() time.Time) { r.now.Store(&now) }
 
 // Now returns the registry's current time.
-func (r *Registry) Now() time.Time {
-	r.mu.RLock()
-	now := r.now
-	r.mu.RUnlock()
-	return now()
-}
+func (r *Registry) Now() time.Time { return (*r.now.Load())() }
 
 // Trace returns the registry's trace-event stream.
 func (r *Registry) Trace() *TraceBuffer { return r.trace }
 
-// key canonicalizes a metric identity: name plus sorted label pairs.
+// key canonicalizes a metric identity: name plus label pairs sorted by
+// label. Each string is escaped and terminated (appendField), so no name,
+// label or value can make two identities share a key, and keys sort like
+// their (name, label, value, ...) tuples.
 func key(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
 	keys := make([]string, 0, len(labels))
-	for k := range labels {
+	size := len(name) + 2
+	for k, v := range labels {
 		keys = append(keys, k)
+		size += len(k) + len(v) + 4
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
+	b := appendField(make([]byte, 0, size), name)
 	for _, k := range keys {
-		b.WriteByte('|')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(labels[k])
+		b = appendField(b, k)
+		b = appendField(b, labels[k])
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendField appends s and its terminator 0x00 0x01, writing a zero
+// byte inside s as 0x00 0x02. The terminator sorts below every escaped
+// or literal byte, so a string sorts before its extensions.
+func appendField(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] == 0 {
+			b = append(b, 0, 2)
+		} else {
+			b = append(b, s[i])
+		}
+	}
+	return append(b, 0, 1)
 }
 
 // labelMap pairs up a variadic "k1, v1, k2, v2, ..." list. A trailing
@@ -206,46 +243,49 @@ func labelMap(kv []string) map[string]string {
 	return m
 }
 
+// series returns (creating with mk on first use) the series of f named
+// by name and kv. Finding an existing no-label or one-pair series
+// allocates nothing; the label map and canonical key are built only on
+// a short-key miss or for two or more pairs.
+func series[T any](r *Registry, f *family[T], name string, kv []string, mk func(labels map[string]string) *T) *T {
+	sk, short := shortKeyOf(name, kv)
+	if short {
+		r.mu.RLock()
+		s, ok := f.short[sk]
+		r.mu.RUnlock()
+		if ok {
+			return s
+		}
+	}
+	labels := labelMap(kv)
+	k := key(name, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := f.all[k]
+	if !ok {
+		s = mk(labels)
+		f.all[k] = s
+	}
+	if short {
+		f.short[sk] = s
+	}
+	return s
+}
+
 // Counter returns (creating on first use) the counter with the given
 // name and label pairs ("k1", "v1", "k2", "v2", ...).
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	labels := labelMap(kv)
-	k := key(name, labels)
-	r.mu.RLock()
-	c, ok := r.counters[k]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[k]; ok {
-		return c
-	}
-	c = &Counter{name: name, labels: labels}
-	r.counters[k] = c
-	return c
+	return series(r, &r.counters, name, kv, func(labels map[string]string) *Counter {
+		return &Counter{name: name, labels: labels}
+	})
 }
 
 // Gauge returns (creating on first use) the gauge with the given name
 // and label pairs.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	labels := labelMap(kv)
-	k := key(name, labels)
-	r.mu.RLock()
-	g, ok := r.gauges[k]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[k]; ok {
-		return g
-	}
-	g = &Gauge{name: name, labels: labels}
-	r.gauges[k] = g
-	return g
+	return series(r, &r.gauges, name, kv, func(labels map[string]string) *Gauge {
+		return &Gauge{name: name, labels: labels}
+	})
 }
 
 // Histogram returns (creating on first use) the histogram with the given
@@ -258,24 +298,11 @@ func (r *Registry) Histogram(name string, kv ...string) *Histogram {
 // for unit-less distributions like scope depth). The bounds of the first
 // registration win; later calls with different bounds reuse the series.
 func (r *Registry) HistogramBuckets(name string, bounds []float64, kv ...string) *Histogram {
-	labels := labelMap(kv)
-	k := key(name, labels)
-	r.mu.RLock()
-	h, ok := r.hists[k]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[k]; ok {
-		return h
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	h = &Histogram{name: name, labels: labels, bounds: b, counts: make([]int64, len(b)+1)}
-	r.hists[k] = h
-	return h
+	return series(r, &r.hists, name, kv, func(labels map[string]string) *Histogram {
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		return &Histogram{name: name, labels: labels, bounds: b, counts: make([]int64, len(b)+1)}
+	})
 }
 
 // Point is one counter or gauge sample in a snapshot.
@@ -313,21 +340,17 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	snap := Snapshot{At: r.now()}
-
-	ckeys := sortedKeys(r.counters)
-	for _, k := range ckeys {
-		c := r.counters[k]
+	snap := Snapshot{At: r.Now()}
+	for _, k := range sortedKeys(r.counters.all) {
+		c := r.counters.all[k]
 		snap.Counters = append(snap.Counters, Point{Name: c.name, Labels: c.labels, Value: c.Value()})
 	}
-	gkeys := sortedKeys(r.gauges)
-	for _, k := range gkeys {
-		g := r.gauges[k]
+	for _, k := range sortedKeys(r.gauges.all) {
+		g := r.gauges.all[k]
 		snap.Gauges = append(snap.Gauges, Point{Name: g.name, Labels: g.labels, Value: g.Value()})
 	}
-	hkeys := sortedKeys(r.hists)
-	for _, k := range hkeys {
-		h := r.hists[k]
+	for _, k := range sortedKeys(r.hists.all) {
+		h := r.hists.all[k]
 		h.mu.Lock()
 		hp := HistPoint{
 			Name: h.name, Labels: h.labels,
@@ -347,13 +370,13 @@ func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	set := make(map[string]bool)
-	for _, c := range r.counters {
+	for _, c := range r.counters.all {
 		set[c.name] = true
 	}
-	for _, g := range r.gauges {
+	for _, g := range r.gauges.all {
 		set[g.name] = true
 	}
-	for _, h := range r.hists {
+	for _, h := range r.hists.all {
 		set[h.name] = true
 	}
 	out := make([]string, 0, len(set))
@@ -370,13 +393,13 @@ func (r *Registry) Names() []string {
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
+	for _, c := range r.counters.all {
 		c.v.Store(0)
 	}
-	for _, g := range r.gauges {
+	for _, g := range r.gauges.all {
 		g.v.Store(0)
 	}
-	for _, h := range r.hists {
+	for _, h := range r.hists.all {
 		h.mu.Lock()
 		h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 		for i := range h.counts {

@@ -14,8 +14,9 @@
 // (retention policies). After-phase trigger actions run asynchronously on
 // a worker pool — datagrid processes are non-transactional (paper §2.2),
 // so actions observe, rather than participate in, the triggering
-// operation. Flush drains the queue for deterministic tests and
-// experiments.
+// operation. The firings of one event run one after another, in bus
+// delivery order; different events' firings run concurrently. Flush
+// drains the queue for deterministic tests and experiments.
 //
 // The paper flags multi-user trigger ordering as an open research issue;
 // the firing log this package keeps, combined with the event bus's
@@ -99,10 +100,11 @@ type Manager struct {
 	triggers map[string]*registered
 	firings  []Firing
 
-	queue chan work
-	wg    sync.WaitGroup
-	idle  sync.Cond // signalled when pending returns to zero
-	pend  int
+	queue   chan *strand
+	strands map[uint64]*strand // by Event.Seq, until their firings have run
+	wg      sync.WaitGroup
+	idle    sync.Cond // signalled when pending returns to zero
+	pend    int
 }
 
 type registered struct {
@@ -112,9 +114,13 @@ type registered struct {
 	fired int64
 }
 
-type work struct {
-	trig *registered
-	ev   dgms.Event
+// strand holds one event's after-phase firings in bus delivery order. A
+// single worker runs them one after another, so when several triggers
+// act on the same event their effects land in the order the bus chose
+// (experiment E8 measures outcome divergence across those orders).
+type strand struct {
+	ev    dgms.Event
+	trigs []*registered // not yet started; guarded by Manager.mu
 }
 
 // NewManager creates a trigger manager over the grid, executing actions
@@ -132,7 +138,8 @@ func NewManager(grid *dgms.Grid, engine *matrix.Engine, workers, queueCap int) *
 		grid:     grid,
 		engine:   engine,
 		triggers: make(map[string]*registered),
-		queue:    make(chan work, queueCap),
+		queue:    make(chan *strand, queueCap),
+		strands:  make(map[uint64]*strand),
 	}
 	m.idle.L = &m.mu
 	for i := 0; i < workers; i++ {
@@ -289,13 +296,23 @@ func (m *Manager) dispatch(reg *registered, ev dgms.Event) error {
 		return nil
 	}
 	m.pend++
+	if s, ok := m.strands[ev.Seq]; ok {
+		s.trigs = append(s.trigs, reg)
+		m.mu.Unlock()
+		return nil
+	}
+	s := &strand{ev: ev, trigs: []*registered{reg}}
+	m.strands[ev.Seq] = s
 	m.mu.Unlock()
 	select {
-	case m.queue <- work{trig: reg, ev: ev}:
+	case m.queue <- s:
 		return nil
 	default:
+		// The bus delivers one event's subscribers on one goroutine, so
+		// nothing joined s between the unlock and here.
 		m.grid.Obs().Counter("trigger_queue_drops_total").Inc()
 		m.mu.Lock()
+		delete(m.strands, ev.Seq)
 		m.pend--
 		m.firings = append(m.firings, Firing{
 			Trigger: reg.def.Name, Event: ev, At: m.grid.Clock().Now(),
@@ -308,14 +325,31 @@ func (m *Manager) dispatch(reg *registered, ev dgms.Event) error {
 
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for w := range m.queue {
-		err := m.runActions(w.trig, w.ev)
+	for s := range m.queue {
+		m.runStrand(s)
+	}
+}
+
+// runStrand runs s's firings in order, including any that join it while
+// it runs, and retires s once it is empty.
+func (m *Manager) runStrand(s *strand) {
+	for {
+		m.mu.Lock()
+		if len(s.trigs) == 0 {
+			delete(m.strands, s.ev.Seq)
+			m.mu.Unlock()
+			return
+		}
+		reg := s.trigs[0]
+		s.trigs = s.trigs[1:]
+		m.mu.Unlock()
+		err := m.runActions(reg, s.ev)
 		if err != nil {
-			m.grid.Obs().Counter("trigger_action_errors_total", "trigger", w.trig.def.Name).Inc()
+			m.grid.Obs().Counter("trigger_action_errors_total", "trigger", reg.def.Name).Inc()
 		}
 		m.mu.Lock()
 		m.firings = append(m.firings, Firing{
-			Trigger: w.trig.def.Name, Event: w.ev,
+			Trigger: reg.def.Name, Event: s.ev,
 			At: m.grid.Clock().Now(), Err: err,
 		})
 		m.pend--
