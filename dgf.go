@@ -243,7 +243,7 @@ var (
 	ErrRetryExhausted = dgferr.ErrRetryExhausted
 	// ErrProtocol: a wire version mismatch (the "hello" handshake).
 	ErrProtocol = dgferr.ErrProtocol
-	// ErrAuth: a missing, expired or forged tenant token (wire 1.7).
+	// ErrAuth: a missing, expired or forged tenant token.
 	ErrAuth = dgferr.ErrAuth
 	// ErrQuota: a tenant resource bound exceeded (flows in flight,
 	// store bytes, delegation slots, submit rate).

@@ -13,8 +13,8 @@
 // streams are told apart: JSON and XML payloads never start with 0xDF.
 //
 // The byte-level specification, including a worked hex dump, lives in
-// docs/CODEC.md. Wire negotiation (protocol 1.4) is in docs/WIRE.md;
-// segment-encoding sniffing is in docs/STORE.md.
+// docs/CODEC.md. Every wire payload after the opening hello is a codec
+// message (docs/WIRE.md); segment-encoding sniffing is in docs/STORE.md.
 package codec
 
 import (
@@ -48,9 +48,9 @@ const (
 	MsgControl byte = 4
 	// MsgControlResult is a wire.ControlResult (KindControl replies).
 	MsgControlResult byte = 5
-	// MsgBatch is a wire.Batch envelope (KindBatch frames).
+	// MsgBatch is a wire batch envelope (KindBatch frames).
 	MsgBatch byte = 6
-	// MsgBatchResult is a wire.BatchResult envelope (KindBatch replies).
+	// MsgBatchResult is a wire batch reply envelope (KindBatch replies).
 	MsgBatchResult byte = 7
 	// MsgDelegate is a wire.Delegate envelope (KindDelegate frames).
 	MsgDelegate byte = 8
@@ -61,6 +61,10 @@ const (
 	// MsgReplicateResult is a wire.ReplicateResult (KindReplicate
 	// replies).
 	MsgReplicateResult byte = 11
+	// MsgRoute is a wire.Route envelope (KindRoute frames).
+	MsgRoute byte = 12
+	// MsgRouteResult is a wire.RouteResult (KindRoute replies).
+	MsgRouteResult byte = 13
 )
 
 // Wire types, the low two bits of every field tag.

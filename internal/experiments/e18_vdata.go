@@ -18,7 +18,7 @@ import (
 //     must replay (memoization survives restart).
 //   - Cross-peer reuse: peerB runs the set peerA computed, each miss
 //     resolving the holder through the lookup registry and grafting
-//     the entry over wire 1.8's vdata verb — reuse must beat cold
+//     the entry over the wire's vdata verb — reuse must beat cold
 //     execution (benchgate, docs/BENCH.md).
 func E18Vdata(s Scale) (*Report, error) {
 	rep, err := E18VdataBench(s)

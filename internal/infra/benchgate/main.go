@@ -22,11 +22,7 @@
 //
 //   - speedup_pipelined falls below -min-speedup (the protocol's
 //     headline claim: pipelining must hide at least that multiple of
-//     the per-request latency),
-//   - speedup_codec_async or speedup_codec_batch falls below
-//     -min-codec-speedup (the 1.4 binary codec's claim: at least that
-//     multiple of the text encodings on the variable-heavy workload,
-//     docs/CODEC.md), or
+//     the per-request latency), or
 //   - a gated speedup ratio drops more than -max-regress (fraction)
 //     below the committed baseline's ratio.
 //
@@ -237,12 +233,10 @@ func table(rows []row, maxRegress float64) (string, int) {
 }
 
 // gate renders the wire old/new/delta table and counts gate failures.
-func gate(base, cur *loadgen.Report, maxRegress, minSpeedup, minCodec float64) (string, int) {
+func gate(base, cur *loadgen.Report, maxRegress, minSpeedup float64) (string, int) {
 	out, failures := table([]row{
 		{"speedup/pipelined", base.SpeedupPipelined, cur.SpeedupPipelined, "x", true},
 		{"speedup/batch", base.SpeedupBatch, cur.SpeedupBatch, "x", true},
-		{"speedup/codec-async", base.SpeedupCodecAsync, cur.SpeedupCodecAsync, "x", true},
-		{"speedup/codec-batch", base.SpeedupCodecBatch, cur.SpeedupCodecBatch, "x", true},
 		{"rps/serial", base.Serial.RPS, cur.Serial.RPS, "req/s", false},
 		{"rps/pipelined", base.Pipelined.RPS, cur.Pipelined.RPS, "req/s", false},
 		{"rps/batch", base.Batch.RPS, cur.Batch.RPS, "req/s", false},
@@ -254,14 +248,6 @@ func gate(base, cur *loadgen.Report, maxRegress, minSpeedup, minCodec float64) (
 	b.WriteString(out)
 	if cur.SpeedupPipelined < minSpeedup {
 		fmt.Fprintf(&b, "\nFAIL: speedup_pipelined %.2fx below the %.1fx floor\n", cur.SpeedupPipelined, minSpeedup)
-		failures++
-	}
-	if cur.SpeedupCodecAsync < minCodec {
-		fmt.Fprintf(&b, "\nFAIL: speedup_codec_async %.2fx below the %.1fx floor\n", cur.SpeedupCodecAsync, minCodec)
-		failures++
-	}
-	if cur.SpeedupCodecBatch < minCodec {
-		fmt.Fprintf(&b, "\nFAIL: speedup_codec_batch %.2fx below the %.1fx floor\n", cur.SpeedupCodecBatch, minCodec)
 		failures++
 	}
 	return b.String(), failures
@@ -490,7 +476,7 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 0.20, "max allowed fractional drop of a gated ratio vs baseline")
 	minSpeedup := flag.Float64("min-speedup", 3.0, "absolute floor for speedup_pipelined")
 	minReduction := flag.Float64("min-reduction", 10.0, "absolute floor for the store's restart replay reduction")
-	minCodec := flag.Float64("min-codec-speedup", 5.0, "absolute floor for the binary codec's speedup ratios (wire async/batch, store replay)")
+	minCodec := flag.Float64("min-codec-speedup", 5.0, "absolute floor for the binary codec's store replay speedup")
 	minShardScaling := flag.Float64("min-shard-scaling", 2.0, "absolute floor for any-peer throughput scaling at 4 sharded peers (speedup_4peer)")
 	maxFailoverRegress := flag.Float64("max-failover-regress", 1.0, "max allowed fractional growth of the failover takeover time vs baseline")
 	maxReplOverhead := flag.Float64("max-repl-overhead", 0.15, "absolute bound on the quorum-ack submit overhead fraction")
@@ -518,7 +504,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchgate: current: %v\n", err)
 			os.Exit(2)
 		}
-		out, n := gate(base, cur, *maxRegress, *minSpeedup, *minCodec)
+		out, n := gate(base, cur, *maxRegress, *minSpeedup)
 		fmt.Printf("== wire (%s) ==\n%s", *currentPath, out)
 		if n == 0 {
 			fmt.Printf("\nwire: OK (pipelined %.2fx >= %.1fx, ratios within %.0f%% of baseline)\n",

@@ -10,18 +10,14 @@ import (
 
 func report(pipelined, batch float64) *loadgen.Report {
 	return &loadgen.Report{
-		Serial:            loadgen.ModeResult{Mode: "serial", RPS: 400},
-		Pipelined:         loadgen.ModeResult{Mode: "pipelined", RPS: 400 * pipelined, P99ms: 5},
-		AsyncSerial:       loadgen.ModeResult{Mode: "async-serial", RPS: 7000},
-		Batch:             loadgen.ModeResult{Mode: "batch", RPS: 7000 * batch},
-		AsyncCodecJSON:    loadgen.ModeResult{Mode: "async-codec-json", RPS: 300},
-		AsyncCodecBin:     loadgen.ModeResult{Mode: "async-codec-bin", RPS: 3000},
-		BatchCodecJSON:    loadgen.ModeResult{Mode: "batch-codec-json", RPS: 400},
-		BatchCodecBin:     loadgen.ModeResult{Mode: "batch-codec-bin", RPS: 4000},
-		SpeedupPipelined:  pipelined,
-		SpeedupBatch:      batch,
-		SpeedupCodecAsync: 10.0,
-		SpeedupCodecBatch: 10.0,
+		Serial:           loadgen.ModeResult{Mode: "serial", RPS: 400},
+		Pipelined:        loadgen.ModeResult{Mode: "pipelined", RPS: 400 * pipelined, P99ms: 5},
+		AsyncSerial:      loadgen.ModeResult{Mode: "async-serial", RPS: 7000},
+		Batch:            loadgen.ModeResult{Mode: "batch", RPS: 7000 * batch},
+		AsyncCodecBin:    loadgen.ModeResult{Mode: "async-codec-bin", RPS: 3000},
+		BatchCodecBin:    loadgen.ModeResult{Mode: "batch-codec-bin", RPS: 4000},
+		SpeedupPipelined: pipelined,
+		SpeedupBatch:     batch,
 	}
 }
 
@@ -42,21 +38,21 @@ func storeReport(reduction, codecSpeedup float64) *experiments.StoreBenchReport 
 }
 
 func TestGatePasses(t *testing.T) {
-	table, failures := gate(report(6.0, 1.1), report(5.8, 1.05), 0.20, 3.0, 5.0)
+	table, failures := gate(report(6.0, 1.1), report(5.8, 1.05), 0.20, 3.0)
 	if failures != 0 {
 		t.Fatalf("clean run failed the gate:\n%s", table)
 	}
 	if !strings.Contains(table, "speedup/pipelined") {
 		t.Errorf("table missing gated row:\n%s", table)
 	}
-	if !strings.Contains(table, "speedup/codec-async") || !strings.Contains(table, "speedup/codec-batch") {
-		t.Errorf("table missing codec rows:\n%s", table)
+	if !strings.Contains(table, "speedup/batch") {
+		t.Errorf("table missing batch ratio row:\n%s", table)
 	}
 }
 
 func TestGateCatchesRatioRegression(t *testing.T) {
 	// Pipelined ratio drops 40% — beyond the 20% allowance.
-	table, failures := gate(report(6.0, 1.1), report(3.6, 1.1), 0.20, 3.0, 5.0)
+	table, failures := gate(report(6.0, 1.1), report(3.6, 1.1), 0.20, 3.0)
 	if failures == 0 {
 		t.Fatalf("40%% ratio drop passed the gate:\n%s", table)
 	}
@@ -67,42 +63,12 @@ func TestGateCatchesRatioRegression(t *testing.T) {
 
 func TestGateEnforcesSpeedupFloor(t *testing.T) {
 	// Within 20% of a weak baseline but below the absolute 3x floor.
-	table, failures := gate(report(3.2, 1.1), report(2.7, 1.1), 0.20, 3.0, 5.0)
+	table, failures := gate(report(3.2, 1.1), report(2.7, 1.1), 0.20, 3.0)
 	if failures == 0 {
 		t.Fatalf("sub-floor speedup passed the gate:\n%s", table)
 	}
 	if !strings.Contains(table, "floor") {
 		t.Errorf("table does not report the floor violation:\n%s", table)
-	}
-}
-
-func TestGateCatchesCodecRegression(t *testing.T) {
-	// Codec batch ratio collapses from 10x to 6x: still above the 5x
-	// floor, but a 40% drop vs the committed baseline must fail.
-	cur := report(6.0, 1.1)
-	cur.SpeedupCodecBatch = 6.0
-	table, failures := gate(report(6.0, 1.1), cur, 0.20, 3.0, 5.0)
-	if failures == 0 {
-		t.Fatalf("40%% codec ratio drop passed the gate:\n%s", table)
-	}
-	if !strings.Contains(table, "REGRESSION") {
-		t.Errorf("table does not flag the codec regression:\n%s", table)
-	}
-}
-
-func TestGateEnforcesCodecFloor(t *testing.T) {
-	// Both runs report a weak codec ratio, so there is no relative
-	// regression — the absolute 5x floor has to catch it.
-	base := report(6.0, 1.1)
-	base.SpeedupCodecAsync = 4.5
-	cur := report(6.0, 1.1)
-	cur.SpeedupCodecAsync = 4.4
-	table, failures := gate(base, cur, 0.20, 3.0, 5.0)
-	if failures == 0 {
-		t.Fatalf("sub-floor codec speedup passed the gate:\n%s", table)
-	}
-	if !strings.Contains(table, "speedup_codec_async") {
-		t.Errorf("table does not report the codec floor violation:\n%s", table)
 	}
 }
 
@@ -115,7 +81,7 @@ func TestGateIgnoresAbsoluteRPSSwings(t *testing.T) {
 	slow.Batch.RPS = 700
 	slow.AsyncCodecBin.RPS = 300
 	slow.BatchCodecBin.RPS = 400
-	table, failures := gate(report(6.0, 1.1), slow, 0.20, 3.0, 5.0)
+	table, failures := gate(report(6.0, 1.1), slow, 0.20, 3.0)
 	if failures != 0 {
 		t.Fatalf("absolute RPS drop failed the ratio gate:\n%s", table)
 	}

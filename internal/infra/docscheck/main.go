@@ -6,7 +6,8 @@
 //   - every metric registered through the obs registry must appear as
 //     a `backticked` name in docs/METRICS.md (the same contract
 //     internal/obs's contract test enforces, rechecked here so the CI
-//     docs job stands alone);
+//     docs job stands alone), and every metric row of docs/METRICS.md
+//     must name a metric some source still emits;
 //   - every dgfctl verb must appear in README.md's CLI table (the
 //     table is `dgfctl help -markdown` verbatim).
 //
@@ -30,6 +31,9 @@ var (
 	flagRe   = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)\(\s*"([A-Za-z][A-Za-z0-9_.-]*)"`)
 	metricRe = regexp.MustCompile(`\.(?:Counter|Gauge|Histogram|HistogramBuckets)\(\s*"([a-z][a-z0-9_]*)"`)
 	verbRe   = regexp.MustCompile(`(?m)^\s*name:\s*"([a-z]+)",$`)
+	// metricRowRe matches a METRICS.md table row whose first cell is a
+	// backticked name.
+	metricRowRe = regexp.MustCompile("^\\| `([a-z][a-z0-9_]*)` \\|")
 )
 
 func main() {
@@ -73,14 +77,23 @@ func check(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	metrics, err := sourceMetrics(root)
+	sources, err := goSources(root)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range metrics {
+	for _, m := range sourceMetrics(sources) {
 		if !strings.Contains(string(metricsDoc), "`"+m+"`") {
 			problems = append(problems,
 				fmt.Sprintf("metric %s is registered in code but missing from docs/METRICS.md", m))
+		}
+	}
+	for _, m := range documentedMetrics(string(metricsDoc)) {
+		// Some packages emit through small helpers (s.count("name")), so
+		// a row is live when its name appears as a string literal in any
+		// non-test source, not only at a registry call.
+		if !strings.Contains(sources, `"`+m+`"`) {
+			problems = append(problems,
+				fmt.Sprintf("docs/METRICS.md documents metric %s but no source emits it", m))
 		}
 	}
 
@@ -133,10 +146,9 @@ func cmdFlags(root string) ([]cmdFlag, error) {
 	return flags, nil
 }
 
-// sourceMetrics scans non-test Go sources for obs metric registrations,
-// mirroring internal/obs's contract test.
-func sourceMetrics(root string) ([]string, error) {
-	seen := map[string]bool{}
+// goSources concatenates every non-test Go source under root.
+func goSources(root string) (string, error) {
+	var b strings.Builder
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -155,20 +167,47 @@ func sourceMetrics(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		for _, m := range metricRe.FindAllStringSubmatch(string(data), -1) {
-			seen[m[1]] = true
-		}
+		b.Write(data)
+		b.WriteByte('\n')
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	return b.String(), err
+}
+
+// sourceMetrics returns the metric names registered through the obs
+// registry in sources, mirroring internal/obs's contract test.
+func sourceMetrics(sources string) []string {
+	seen := map[string]bool{}
+	for _, m := range metricRe.FindAllStringSubmatch(sources, -1) {
+		seen[m[1]] = true
 	}
 	names := make([]string, 0, len(seen))
 	for n := range seen {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return names, nil
+	return names
+}
+
+// documentedMetrics returns the names in the first column of the
+// metric tables of docs/METRICS.md — the tables whose header row opens
+// with "| name | type |".
+func documentedMetrics(doc string) []string {
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| name | type |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable:
+			if m := metricRowRe.FindStringSubmatch(line); m != nil {
+				names = append(names, m[1])
+			}
+		}
+	}
+	return names
 }
 
 // docCorpus concatenates README.md and every docs/*.md.

@@ -64,6 +64,34 @@ func emit(r reg) {
 	}
 }
 
+// TestCatchesStaleMetricRow documents a metric no source emits: a
+// removed metric must not linger in the tables. Metrics emitted through
+// a helper count as live, and rows of non-metric tables are ignored.
+func TestCatchesStaleMetricRow(t *testing.T) {
+	root := fakeRepo(t, map[string]string{
+		"cmd/srv/main.go": "package main\nfunc main() {}",
+		"internal/x/x.go": `package x
+type reg struct{}
+func (reg) Counter(name string) {}
+func count(r reg, name string) { r.Counter(name) }
+func emit(r reg) {
+	r.Counter("frames_total")
+	count(r, "acks_total")
+}`,
+		"README.md": "",
+		"docs/METRICS.md": "| name | type | labels |\n|---|---|---|\n" +
+			"| `frames_total` | counter | — |\n| `acks_total` | counter | — |\n| `gone_total` | counter | — |\n\n" +
+			"| scope | name |\n|---|---|\n| `request` | frame kind |\n",
+	})
+	problems, err := check(root)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], "gone_total") {
+		t.Fatalf("want exactly the gone_total problem, got %q", problems)
+	}
+}
+
 // TestFlagTokenBoundaries: -o must not be satisfied by -open.
 func TestFlagTokenBoundaries(t *testing.T) {
 	if mentionsFlag("use -open for demo mode", "o") {

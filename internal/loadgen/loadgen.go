@@ -1,10 +1,11 @@
 // Package loadgen is the wire-protocol load harness behind
 // `dgfbench -load`: it stands up an in-process matrix server on a real
 // TCP socket and measures DGL request throughput and latency across
-// the protocol's transfer modes — serial (pre-1.2, one request in
-// flight per connection), pipelined (1.2 multiplexed framing) and
-// batch (N flows per frame) — plus an open-loop phase that paces
-// requests at a target rate and reports the latency distribution.
+// the protocol's transfer modes — serial (one request in flight per
+// connection), pipelined (many requests in flight on each multiplexed
+// connection) and batch (N flows per frame) — plus an open-loop phase
+// that paces requests at a target rate and reports the latency
+// distribution.
 //
 // The workload is a synchronous flow whose single step sleeps for
 // Options.StepLatency on a real clock, standing in for the
@@ -130,15 +131,11 @@ type Report struct {
 	Pipelined   ModeResult `json:"pipelined"`
 	AsyncSerial ModeResult `json:"async_serial"`
 	Batch       ModeResult `json:"batch"`
-	// The codec phases submit a variable-heavy flow asynchronously over
-	// identical muxed sessions, once pinned to the text encodings
-	// (DisableBinary) and once on the 1.4 binary codec — the pairwise
-	// comparison that isolates encode/decode cost (docs/CODEC.md).
-	AsyncCodecJSON ModeResult  `json:"async_codec_json"`
-	AsyncCodecBin  ModeResult  `json:"async_codec_bin"`
-	BatchCodecJSON ModeResult  `json:"batch_codec_json"`
-	BatchCodecBin  ModeResult  `json:"batch_codec_bin"`
-	OpenLoop       *ModeResult `json:"open_loop,omitempty"`
+	// The codec phases submit a variable-heavy flow asynchronously and
+	// in batches, so encode/decode cost dominates (docs/CODEC.md).
+	AsyncCodecBin ModeResult  `json:"async_codec_bin"`
+	BatchCodecBin ModeResult  `json:"batch_codec_bin"`
+	OpenLoop      *ModeResult `json:"open_loop,omitempty"`
 	// Federated is present only when Options.FederatedPeers >= 2.
 	Federated      *ModeResult `json:"federated,omitempty"`
 	FederatedPeers int         `json:"federated_peers,omitempty"`
@@ -149,13 +146,9 @@ type Report struct {
 	// SpeedupPipelined is pipelined RPS over serial RPS: the latency-
 	// hiding win of multiplexed framing. SpeedupBatch is batch flows/s
 	// over async-serial flows/s: the framing-amortization win of the
-	// batch verb. SpeedupCodecAsync and SpeedupCodecBatch are the binary
-	// codec's throughput over the text encodings on the same workload —
-	// the gated quantities for the 1.4 codec.
-	SpeedupPipelined  float64 `json:"speedup_pipelined"`
-	SpeedupBatch      float64 `json:"speedup_batch"`
-	SpeedupCodecAsync float64 `json:"speedup_codec_async"`
-	SpeedupCodecBatch float64 `json:"speedup_codec_batch"`
+	// batch verb.
+	SpeedupPipelined float64 `json:"speedup_pipelined"`
+	SpeedupBatch     float64 `json:"speedup_batch"`
 }
 
 // String renders the report as the human-readable table dgfbench
@@ -172,9 +165,7 @@ func (r *Report) String() string {
 	line(r.Pipelined)
 	line(r.AsyncSerial)
 	line(r.Batch)
-	line(r.AsyncCodecJSON)
 	line(r.AsyncCodecBin)
-	line(r.BatchCodecJSON)
 	line(r.BatchCodecBin)
 	if r.OpenLoop != nil {
 		line(*r.OpenLoop)
@@ -187,8 +178,6 @@ func (r *Report) String() string {
 	}
 	b = fmt.Appendf(b, "speedup: pipelined/serial = %.2fx, batch/async-serial = %.2fx\n",
 		r.SpeedupPipelined, r.SpeedupBatch)
-	b = fmt.Appendf(b, "codec:   async bin/json = %.2fx, batch bin/json = %.2fx\n",
-		r.SpeedupCodecAsync, r.SpeedupCodecBatch)
 	return string(b)
 }
 
@@ -256,8 +245,18 @@ func codecFlow() dgl.Flow {
 	return b.Step("op", dgl.Op(dgl.OpNoop, nil)).Flow()
 }
 
-// batchLoop closed-loops SubmitBatch over the clients for one window,
-// counting each batch item as a request.
+// submitAsync submits flow asynchronously as the bench user, failing on
+// a refused acknowledgement.
+func submitAsync(c *wire.Client, flow dgl.Flow) error {
+	res, err := c.Submit(context.Background(), dgl.NewRequest("bench", "", flow), wire.WithAsync())
+	if err != nil {
+		return err
+	}
+	return res.Err()
+}
+
+// batchLoop closed-loops batch submissions over the clients for one
+// window, counting each batch item as a request.
 func batchLoop(clients []*wire.Client, reqs []*dgl.Request, window time.Duration) (time.Duration, *collector) {
 	col := &collector{}
 	deadline := time.Now().Add(window)
@@ -269,13 +268,13 @@ func batchLoop(clients []*wire.Client, reqs []*dgl.Request, window time.Duration
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				t0 := time.Now()
-				resps, err := c.SubmitBatch(context.Background(), "bench", reqs)
+				res, err := c.Submit(context.Background(), nil, wire.WithBatch(reqs...), wire.WithUser("bench"))
 				if err != nil {
 					col.fail()
 					return
 				}
-				per := time.Since(t0) / time.Duration(len(resps))
-				for range resps {
+				per := time.Since(t0) / time.Duration(len(res.Responses))
+				for range res.Responses {
 					col.ok(per)
 				}
 			}
@@ -384,7 +383,7 @@ func runFederated(opts Options) (*ModeResult, error) {
 			Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": opts.StepLatency.String()})))
 	}
 	flow := b.Flow()
-	clients, err := dialN(firstAddr, opts.Conns, true)
+	clients, err := dialN(firstAddr, opts.Conns)
 	if err != nil {
 		return nil, err
 	}
@@ -409,8 +408,8 @@ func runFederated(opts Options) (*ModeResult, error) {
 // runSharded stands up a shard-lease lookup plus ShardedPeers sharded
 // peers and closed-loops synchronous sleep flows against every peer at
 // once: users rotate so the routing keys spread over the shard space,
-// and each peer routes what it does not own to the owner (wire 1.5
-// kind-5 frames). RPS counts completed flows network-wide — the
+// and each peer routes what it does not own to the owner (kind-5 route
+// frames). RPS counts completed flows network-wide — the
 // any-peer submit capacity of the sharded topology.
 func runSharded(opts Options) (*ModeResult, error) {
 	const shards = 32
@@ -454,7 +453,7 @@ func runSharded(opts Options) (*ModeResult, error) {
 		}
 		peers = append(peers, peer)
 		names = append(names, name)
-		cs, err := dialN(addr, opts.Conns, true)
+		cs, err := dialN(addr, opts.Conns)
 		if err != nil {
 			closeAll(clients)
 			return nil, err
@@ -485,12 +484,12 @@ func runSharded(opts Options) (*ModeResult, error) {
 	return &res, nil
 }
 
-// dialN opens n connections, negotiating mux when hello is true.
-func dialN(addr string, n int, hello bool) ([]*wire.Client, error) {
+// dialN opens n connections and runs the hello exchange on each.
+func dialN(addr string, n int) ([]*wire.Client, error) {
 	clients := make([]*wire.Client, 0, n)
 	for i := 0; i < n; i++ {
 		c, err := wire.Dial(addr)
-		if err == nil && hello {
+		if err == nil {
 			_, err = c.Hello()
 		}
 		if err != nil {
@@ -554,10 +553,7 @@ func Run(opts Options) (*Report, error) {
 		_, err := c.SubmitFlow("bench", flow)
 		return err
 	}
-	asyncReq := func(c *wire.Client) error {
-		_, err := c.SubmitAsync("bench", flow)
-		return err
-	}
+	asyncReq := func(c *wire.Client) error { return submitAsync(c, flow) }
 
 	rep := &Report{
 		Small:       opts.Small,
@@ -568,9 +564,8 @@ func Run(opts Options) (*Report, error) {
 		BatchSize:   opts.BatchSize,
 	}
 
-	// Phase 1 — serial: pre-1.2 framing, one request in flight per
-	// connection. No Hello, so the session never upgrades.
-	serialClients, err := dialN(h.addr, opts.Conns, false)
+	// Phase 1 — serial: one request in flight per connection.
+	serialClients, err := dialN(h.addr, opts.Conns)
 	if err != nil {
 		return nil, err
 	}
@@ -579,9 +574,9 @@ func Run(opts Options) (*Report, error) {
 	rep.Serial = col.result("serial", elapsed)
 	h.engine.Prune(0)
 
-	// Phase 2 — pipelined: same connection count, multiplexed framing,
-	// Inflight concurrent requests per connection.
-	muxClients, err := dialN(h.addr, opts.Conns, true)
+	// Phase 2 — pipelined: same connection count, Inflight concurrent
+	// requests per connection.
+	muxClients, err := dialN(h.addr, opts.Conns)
 	if err != nil {
 		return nil, err
 	}
@@ -592,7 +587,7 @@ func Run(opts Options) (*Report, error) {
 	// Phase 3 — async-serial: the batch comparison baseline. Async
 	// submits return on registration, so this measures per-frame
 	// overhead without the step latency.
-	asyncClients, err := dialN(h.addr, opts.Conns, false)
+	asyncClients, err := dialN(h.addr, opts.Conns)
 	if err != nil {
 		closeAll(muxClients)
 		return nil, err
@@ -613,22 +608,18 @@ func Run(opts Options) (*Report, error) {
 	h.engine.Prune(0)
 
 	// Phases 4b/4c — codec: the variable-heavy workload submitted
-	// asynchronously and in batches over paired muxed sessions, text
-	// encodings vs the 1.4 binary codec. Everything else — framing,
-	// connection count, inflight — is identical, so the RPS ratio is the
-	// codec's win alone. A steady-state pruner runs throughout: each
-	// completed carrier flow retains its (large) variable map until
-	// pruned, and without continuous pruning the faster encoding would
-	// measure its own heap growth instead of encode/decode cost — a
-	// long-run grid prunes finished flows continuously anyway.
+	// asynchronously and in batches over muxed sessions, so the phases
+	// measure encode/decode cost rather than step execution. A
+	// steady-state pruner runs throughout: each completed carrier flow
+	// retains its (large) variable map until pruned, and without
+	// continuous pruning the phases would measure their own heap growth
+	// instead of encode/decode cost — a long-run grid prunes finished
+	// flows continuously anyway.
 	cflow := codecFlow()
-	codecReq := func(c *wire.Client) error {
-		_, err := c.SubmitAsync("bench", cflow)
-		return err
-	}
+	codecReq := func(c *wire.Client) error { return submitAsync(c, cflow) }
 	// The codec phases run a longer window than the protocol phases:
 	// the carrier requests are large, so per-window sample counts are
-	// lower and a single GC pause would otherwise swing the ratio.
+	// lower and a single GC pause would otherwise swing the result.
 	codecWindow := 2 * opts.Duration
 	codecReqs := make([]*dgl.Request, opts.BatchSize)
 	for i := range codecReqs {
@@ -650,36 +641,22 @@ func Run(opts Options) (*Report, error) {
 			}
 		}
 	}()
-	for _, phase := range []struct {
-		binary     bool
-		asyncRes   *ModeResult
-		batchRes   *ModeResult
-		asyncLabel string
-		batchLabel string
-	}{
-		{false, &rep.AsyncCodecJSON, &rep.BatchCodecJSON, "async-codec-json", "batch-codec-json"},
-		{true, &rep.AsyncCodecBin, &rep.BatchCodecBin, "async-codec-bin", "batch-codec-bin"},
-	} {
-		clients, err := dialN(h.addr, opts.Conns, true)
-		if err != nil {
-			closeAll(muxClients)
-			return nil, err
-		}
-		if !phase.binary {
-			for _, c := range clients {
-				c.DisableBinary()
-			}
-		}
-		runtime.GC() // level the heap between paired phases
-		elapsed, col = closedLoop(clients, opts.Inflight, codecWindow, codecReq)
-		*phase.asyncRes = col.result(phase.asyncLabel, elapsed)
-		h.engine.Prune(0)
-		runtime.GC()
-		elapsed, col = batchLoop(clients, codecReqs, codecWindow)
-		*phase.batchRes = col.result(phase.batchLabel, elapsed)
-		h.engine.Prune(0)
-		closeAll(clients)
+	codecClients, err := dialN(h.addr, opts.Conns)
+	if err != nil {
+		close(pruneStop)
+		pruneWG.Wait()
+		closeAll(muxClients)
+		return nil, err
 	}
+	runtime.GC() // level the heap before each codec phase
+	elapsed, col = closedLoop(codecClients, opts.Inflight, codecWindow, codecReq)
+	rep.AsyncCodecBin = col.result("async-codec-bin", elapsed)
+	h.engine.Prune(0)
+	runtime.GC()
+	elapsed, col = batchLoop(codecClients, codecReqs, codecWindow)
+	rep.BatchCodecBin = col.result("batch-codec-bin", elapsed)
+	h.engine.Prune(0)
+	closeAll(codecClients)
 	close(pruneStop)
 	pruneWG.Wait()
 
@@ -748,12 +725,6 @@ func Run(opts Options) (*Report, error) {
 	}
 	if rep.AsyncSerial.RPS > 0 {
 		rep.SpeedupBatch = rep.Batch.RPS / rep.AsyncSerial.RPS
-	}
-	if rep.AsyncCodecJSON.RPS > 0 {
-		rep.SpeedupCodecAsync = rep.AsyncCodecBin.RPS / rep.AsyncCodecJSON.RPS
-	}
-	if rep.BatchCodecJSON.RPS > 0 {
-		rep.SpeedupCodecBatch = rep.BatchCodecBin.RPS / rep.BatchCodecJSON.RPS
 	}
 	return rep, nil
 }

@@ -24,6 +24,7 @@
 package loadgen
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -31,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"datagridflow/internal/dgl"
 	"datagridflow/internal/obs"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/wire"
@@ -329,7 +331,11 @@ func RunTenant(opts TenantOptions) (*TenantReport, error) {
 	}
 	hold := sleepFlow(300 * time.Millisecond)
 	for i := 0; i < 24; i++ {
-		if _, err := bc.SubmitAsync("breach", hold); err != nil {
+		res, err := bc.Submit(context.Background(), dgl.NewRequest("breach", "", hold), wire.WithAsync())
+		if err == nil {
+			err = res.Err()
+		}
+		if err != nil {
 			if quotaRejected(err.Error()) {
 				rep.BreachRejections++
 			} else {

@@ -13,7 +13,7 @@
 // Cross-peer reuse: two wire peers share a lookup registry. PeerA
 // computes the derivation set; peerB then runs the same flows, each
 // local miss resolving the holder through the registry and grafting
-// the entry over wire 1.8's vdata verb. PeerB's pass must beat cold
+// the entry over the wire's vdata verb. PeerB's pass must beat cold
 // execution — fetching a memoized result across the fleet is cheaper
 // than recomputing it — with every reuse counted in
 // vdata_remote_hits_total.
@@ -200,7 +200,7 @@ func RunVdata(opts VdataOptions) (*VdataReport, error) {
 		return nil, err
 	}
 
-	// Phase 2 — cross-peer reuse over wire 1.8 and the lookup registry.
+	// Phase 2 — cross-peer reuse over the wire and the lookup registry.
 	ls := wire.NewLookupServer()
 	ls.SetObs(obs.NewRegistry())
 	lookupAddr, err := ls.Listen("127.0.0.1:0")

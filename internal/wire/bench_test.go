@@ -8,20 +8,20 @@ import (
 	"sync"
 	"testing"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgl"
 )
 
-// benchPayload is a representative DGL request document (~½ KiB).
+// benchPayload is a representative binary DGL request payload.
 var benchPayload = func() []byte {
 	req := dgl.NewAsyncRequest("user", "", dgl.NewFlow("bench").
 		Step("a", dgl.Op(dgl.OpNoop, map[string]string{"k1": "v1", "k2": "v2"})).
 		Step("b", dgl.Op(dgl.OpNoop, nil)).
 		Step("c", dgl.Op(dgl.OpNoop, nil)).Flow())
-	data, err := dgl.Marshal(req)
-	if err != nil {
-		panic(err)
-	}
-	return data
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	codec.AppendRequest(enc, req)
+	return append([]byte(nil), enc.Bytes()...)
 }()
 
 func BenchmarkFrameEncode(b *testing.B) {
@@ -76,30 +76,9 @@ func BenchmarkMuxFrameDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSerialRoundTrip measures one-at-a-time request/response over
-// a live TCP connection with the pre-1.2 serial framing.
-func BenchmarkSerialRoundTrip(b *testing.B) {
-	e := newEngine(b, "")
-	_, addr := startServer(b, e)
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	flow := noopFlow("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.SubmitAsync("user", flow); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	e.Prune(0)
-}
-
 // BenchmarkPipelinedRoundTrip measures the same request mix over a
 // multiplexed session with 16 concurrent submitters sharing one
-// connection — the pipelining win the 1.2 protocol exists for.
+// connection — the pipelining win mux framing exists for.
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
 	e := newEngine(b, "")
 	_, addr := startServer(b, e)
@@ -128,7 +107,7 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for range iters {
-				if _, err := c.SubmitAsyncContext(context.Background(), "user", flow); err != nil {
+				if _, err := submitAsync(c, "user", flow); err != nil {
 					b.Error(err)
 					return
 				}
@@ -160,7 +139,7 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		if _, err := c.SubmitBatch(context.Background(), "user", reqs); err != nil {
+		if _, err := submitBatch(context.Background(), c, "user", reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

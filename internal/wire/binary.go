@@ -2,19 +2,21 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 
 	"datagridflow/internal/codec"
+	"datagridflow/internal/dgl"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
 
-// Binary codecs for the wire's JSON envelope types (Control, Batch,
-// Delegate and their results). The DGL documents themselves are encoded
-// by internal/codec's Request/Response codecs; the envelopes here carry
-// those payloads as opaque blobs, each sniffed independently — a binary
-// batch may legally contain XML items and vice versa, which is what
-// lets a server mirror per-item encodings exactly.
+// Binary codecs for the wire's envelope types (Control, batch,
+// Delegate, Route, Replicate and their results). The DGL requests and
+// responses inside them are encoded by internal/codec's Request and
+// Response codecs and ride as nested payload blobs, each with its own
+// header.
 //
 // Field numbers are frozen (docs/CODEC.md, "Versioning").
 
@@ -415,8 +417,7 @@ func decodeControlResult(payload []byte) (ControlResult, error) {
 }
 
 // appendBatch encodes a batch envelope whose items are pre-encoded
-// request payloads (binary or XML — each is sniffed independently on
-// the receiving side).
+// request payloads.
 func appendBatch(e *codec.Encoder, user, token string, items [][]byte) {
 	appendBatchStart(e, user, token)
 	for _, it := range items {
@@ -453,7 +454,12 @@ func decodeBatch(payload []byte) (user, token string, items [][]byte, err error)
 		case 1:
 			user = d.Sym()
 		case 2:
-			items = append(items, d.Blob())
+			item := d.Blob()
+			if len(item) == 0 && d.Err() == nil {
+				// Items are positional: an empty one cannot be re-encoded.
+				return "", "", nil, errEmptyBatchItem
+			}
+			items = append(items, item)
 		case 3:
 			token = d.Str()
 		default:
@@ -462,6 +468,10 @@ func decodeBatch(payload []byte) (user, token string, items [][]byte, err error)
 	}
 	return user, token, items, d.Err()
 }
+
+// errEmptyBatchItem rejects a zero-length batch item: the encoder omits
+// empty fields, so such an item would shift every later position.
+var errEmptyBatchItem = errors.New("wire: empty batch item")
 
 // appendBatchResult encodes a batch reply whose responses are
 // pre-encoded response payloads, positionally matching the request.
@@ -486,7 +496,11 @@ func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]b
 		case 2:
 			errText = d.Str()
 		case 3:
-			responses = append(responses, d.Blob())
+			r := d.Blob()
+			if len(r) == 0 && d.Err() == nil {
+				return false, "", nil, errEmptyBatchItem
+			}
+			responses = append(responses, r)
 		default:
 			d.Skip()
 		}
@@ -494,14 +508,66 @@ func decodeBatchResult(payload []byte) (ok bool, errText string, responses [][]b
 	return ok, errText, responses, d.Err()
 }
 
-// appendDelegate encodes a delegation envelope. The embedded request
-// document stays in whatever encoding the federation produced (XML
-// today): delegation is not a hot path, and keeping the document
-// opaque means provenance and journals see the same bytes both sides.
+// appendRequestBlob writes req as a nested codec request payload.
+func appendRequestBlob(e *codec.Encoder, num int, req *dgl.Request) {
+	if req == nil {
+		return
+	}
+	ie := codec.GetEncoder()
+	codec.AppendRequest(ie, req)
+	e.Blob(num, ie.Bytes())
+	codec.PutEncoder(ie)
+}
+
+// appendResponseBlob writes resp as a nested codec response payload.
+func appendResponseBlob(e *codec.Encoder, num int, resp *dgl.Response) {
+	if resp == nil {
+		return
+	}
+	ie := codec.GetEncoder()
+	codec.AppendResponse(ie, resp)
+	e.Blob(num, ie.Bytes())
+	codec.PutEncoder(ie)
+}
+
+// decodeRequestBlob decodes a nested request payload, keeping the
+// first failure in *errp.
+func decodeRequestBlob(blob []byte, errp *error) *dgl.Request {
+	req, err := codec.DecodeRequest(blob)
+	if err != nil {
+		if *errp == nil {
+			*errp = fmt.Errorf("nested request: %w", err)
+		}
+		return nil
+	}
+	return req
+}
+
+// decodeResponseBlob decodes a nested response payload, keeping the
+// first failure in *errp.
+func decodeResponseBlob(blob []byte, errp *error) *dgl.Response {
+	resp, err := codec.DecodeResponse(blob)
+	if err != nil {
+		if *errp == nil {
+			*errp = fmt.Errorf("nested response: %w", err)
+		}
+		return nil
+	}
+	return resp
+}
+
+// firstErr returns the envelope decoder's error, else the nested one.
+func firstErr(envelope, nested error) error {
+	if envelope != nil {
+		return envelope
+	}
+	return nested
+}
+
 func appendDelegate(e *codec.Encoder, dl *Delegate) {
 	e.Begin(codec.MsgDelegate)
 	e.Sym(1, dl.User)
-	e.Blob(2, []byte(dl.Request))
+	appendRequestBlob(e, 2, dl.Request)
 	e.Sym(3, dl.Origin)
 	e.Sym(4, dl.ParentExec)
 	e.Sym(5, dl.ParentNode)
@@ -514,12 +580,13 @@ func decodeDelegate(payload []byte) (Delegate, error) {
 		return Delegate{}, err
 	}
 	var dl Delegate
+	var nerr error
 	for d.Next() {
 		switch d.Field() {
 		case 1:
 			dl.User = d.Sym()
 		case 2:
-			dl.Request = string(d.Blob())
+			dl.Request = decodeRequestBlob(d.Blob(), &nerr)
 		case 3:
 			dl.Origin = d.Sym()
 		case 4:
@@ -532,7 +599,7 @@ func decodeDelegate(payload []byte) (Delegate, error) {
 			d.Skip()
 		}
 	}
-	return dl, d.Err()
+	return dl, firstErr(d.Err(), nerr)
 }
 
 func appendDelegateResult(e *codec.Encoder, r *DelegateResult) {
@@ -540,7 +607,9 @@ func appendDelegateResult(e *codec.Encoder, r *DelegateResult) {
 	e.Bool(1, r.OK)
 	e.Str(2, r.Error)
 	e.Sym(3, r.ID)
-	e.Blob(4, []byte(r.Status))
+	if r.Status != nil {
+		appendResponseBlob(e, 4, &dgl.Response{Status: r.Status})
+	}
 }
 
 func decodeDelegateResult(payload []byte) (DelegateResult, error) {
@@ -549,6 +618,7 @@ func decodeDelegateResult(payload []byte) (DelegateResult, error) {
 		return DelegateResult{}, err
 	}
 	var r DelegateResult
+	var nerr error
 	for d.Next() {
 		switch d.Field() {
 		case 1:
@@ -558,18 +628,89 @@ func decodeDelegateResult(payload []byte) (DelegateResult, error) {
 		case 3:
 			r.ID = d.Sym()
 		case 4:
-			r.Status = string(d.Blob())
+			if resp := decodeResponseBlob(d.Blob(), &nerr); resp != nil {
+				r.Status = resp.Status
+			}
 		default:
 			d.Skip()
 		}
 	}
-	return r, d.Err()
+	return r, firstErr(d.Err(), nerr)
+}
+
+func appendRoute(e *codec.Encoder, rt *Route) {
+	e.Begin(codec.MsgRoute)
+	e.Sym(1, rt.User)
+	e.Str(2, rt.Token)
+	appendRequestBlob(e, 3, rt.Request)
+	e.Uint(4, uint64(rt.Shard))
+	e.Sym(5, rt.Origin)
+}
+
+func decodeRoute(payload []byte) (Route, error) {
+	d, err := codec.NewDecoder(payload, codec.MsgRoute)
+	if err != nil {
+		return Route{}, err
+	}
+	var rt Route
+	var nerr error
+	for d.Next() {
+		switch d.Field() {
+		case 1:
+			rt.User = d.Sym()
+		case 2:
+			rt.Token = d.Str()
+		case 3:
+			rt.Request = decodeRequestBlob(d.Blob(), &nerr)
+		case 4:
+			rt.Shard = int(d.Uint())
+		case 5:
+			rt.Origin = d.Sym()
+		default:
+			d.Skip()
+		}
+	}
+	return rt, firstErr(d.Err(), nerr)
+}
+
+func appendRouteResult(e *codec.Encoder, r *RouteResult) {
+	e.Begin(codec.MsgRouteResult)
+	e.Bool(1, r.OK)
+	e.Str(2, r.Error)
+	e.Bool(3, r.NotOwner)
+	e.Sym(4, r.Owner)
+	appendResponseBlob(e, 5, r.Response)
+}
+
+func decodeRouteResult(payload []byte) (RouteResult, error) {
+	d, err := codec.NewDecoder(payload, codec.MsgRouteResult)
+	if err != nil {
+		return RouteResult{}, err
+	}
+	var r RouteResult
+	var nerr error
+	for d.Next() {
+		switch d.Field() {
+		case 1:
+			r.OK = d.Bool()
+		case 2:
+			r.Error = d.Str()
+		case 3:
+			r.NotOwner = d.Bool()
+		case 4:
+			r.Owner = d.Sym()
+		case 5:
+			r.Response = decodeResponseBlob(d.Blob(), &nerr)
+		default:
+			d.Skip()
+		}
+	}
+	return r, firstErr(d.Err(), nerr)
 }
 
 // appendReplicate encodes a replication envelope. The record block
-// rides as an opaque blob in the sender's store encoding — the
-// envelope's encoding and the block's are independent, so a binary
-// envelope may legally carry a JSONL block and vice versa.
+// rides as an opaque blob in the sender's store encoding, so a binary
+// envelope may legally carry a JSONL block.
 func appendReplicate(e *codec.Encoder, f *Replicate) {
 	e.Begin(codec.MsgReplicate)
 	e.Sym(1, f.Op)
@@ -607,7 +748,11 @@ func decodeReplicate(payload []byte) (Replicate, error) {
 		case 5:
 			f.Block = d.Blob()
 		case 6:
-			f.Chain = append(f.Chain, d.Sym())
+			peer := d.Sym()
+			if peer == "" && d.Err() == nil {
+				return Replicate{}, errors.New("wire: empty chain peer in replicate frame")
+			}
+			f.Chain = append(f.Chain, peer)
 		default:
 			d.Skip()
 		}

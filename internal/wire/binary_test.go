@@ -3,85 +3,99 @@ package wire
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 )
 
-// TestBinaryNegotiation pins the hello matrix for 1.4: a current client
-// against a current server negotiates binary; against a 1.3 server it
-// stays on the text encodings — and both sessions serve requests.
+// TestBinaryNegotiation pins the hello outcomes: a current client and
+// server ("1.4 both": both at or past the version that introduced the
+// codec) complete the exchange and serve every request kind over binary
+// payloads; against a 1.3 server, which predates the codec, the hello
+// fails with a protocol-class error and nothing else is sent.
 func TestBinaryNegotiation(t *testing.T) {
-	cases := []struct {
-		name       string
-		serverCfg  ServerConfig
-		disable    bool
-		wantBinary bool
-	}{
-		{"1.4 both", ServerConfig{}, false, true},
-		{"1.3 server", ServerConfig{ProtoMinor: 3}, false, false},
-		{"client opt-out", ServerConfig{}, true, false},
+	t.Run("1.4 both", func(t *testing.T) {
+		e := newEngine(t, "")
+		_, addr := startServer(t, e)
+		c := dial(t, addr)
+		// The default test grid shares the process-wide obs registry:
+		// assert on deltas, not absolutes.
+		enc0 := e.Obs().Counter("codec_encode_bytes_total").Value()
+		if _, err := c.Hello(); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Binary() || !c.Muxed() {
+			t.Fatalf("Binary() = %v, Muxed() = %v after hello", c.Binary(), c.Muxed())
+		}
+		resp, err := c.SubmitFlow("user", noopFlow("neg"))
+		if err != nil || resp.Status == nil || resp.Status.State != "succeeded" {
+			t.Fatalf("submit over negotiated session: %+v, %v", resp, err)
+		}
+		id, err := submitAsync(c, "user", noopFlow("neg2"))
+		if err != nil || id == "" {
+			t.Fatalf("async submit: %q, %v", id, err)
+		}
+		if _, err := c.List(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Status("user", id, true); err != nil {
+			t.Fatal(err)
+		}
+		if e.Obs().Counter("codec_encode_bytes_total").Value() == enc0 {
+			t.Fatal("binary session encoded no reply bytes")
+		}
+	})
+	t.Run("1.3 server", func(t *testing.T) {
+		addr, frames := fakeHelloServer(t, `{"ok":true,"proto":"1.3"}`)
+		c := dial(t, addr)
+		if _, err := c.Hello(); !errors.Is(err, dgferr.ErrProtocol) {
+			t.Fatalf("hello against a 1.3 server = %v, want ErrProtocol", err)
+		}
+		if c.Binary() || c.Muxed() {
+			t.Fatal("session marked negotiated after a refused hello")
+		}
+		if n := <-frames; n != 1 {
+			t.Fatalf("client sent %d frames to a 1.3 server, want only the hello", n)
+		}
+	})
+}
+
+// fakeHelloServer accepts one connection, answers its first frame with
+// the given JSON hello reply, then reports how many frames the client
+// sent before closing the connection.
+func fakeHelloServer(t *testing.T, reply string) (string, <-chan int) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, "")
-			s := NewServerConfig(e, tc.serverCfg)
-			addr, err := s.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+	t.Cleanup(func() { l.Close() })
+	frames := make(chan int, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			frames <- 0
+			return
+		}
+		defer conn.Close()
+		n := 0
+		for {
+			_ = conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+			if _, _, err := ReadFrame(conn); err != nil {
+				break
 			}
-			t.Cleanup(s.Close)
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
+			n++
+			if n == 1 {
+				_ = WriteFrame(conn, KindControl, []byte(reply))
 			}
-			defer c.Close()
-			if tc.disable {
-				c.DisableBinary()
-			}
-			// The default test grid shares the process-wide obs registry:
-			// assert on deltas, not absolutes.
-			enc0 := e.Obs().Counter("codec_encode_bytes_total").Value()
-			fb0 := e.Obs().Counter("codec_fallback_total", "kind", "dgl").Value()
-			if _, err := c.Hello(); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Binary(); got != tc.wantBinary {
-				t.Fatalf("Binary() = %v, want %v", got, tc.wantBinary)
-			}
-			// The session must work either way: sync submit, async +
-			// status, and a control verb.
-			resp, err := c.SubmitFlow("user", noopFlow("neg"))
-			if err != nil || resp.Status == nil || resp.Status.State != "succeeded" {
-				t.Fatalf("submit over negotiated session: %+v, %v", resp, err)
-			}
-			id, err := c.SubmitAsync("user", noopFlow("neg2"))
-			if err != nil || id == "" {
-				t.Fatalf("async submit: %q, %v", id, err)
-			}
-			if _, err := c.List(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Status("user", id, true); err != nil {
-				t.Fatal(err)
-			}
-			// Binary sessions are accounted; legacy dgl payloads against a
-			// binary-capable server count as fallbacks.
-			encoded := e.Obs().Counter("codec_encode_bytes_total").Value() - enc0
-			fellBack := e.Obs().Counter("codec_fallback_total", "kind", "dgl").Value() - fb0
-			if tc.wantBinary && (encoded == 0 || fellBack != 0) {
-				t.Fatalf("binary session: encode_bytes=%v fallback=%v", encoded, fellBack)
-			}
-			if !tc.wantBinary && encoded != 0 {
-				t.Fatalf("text session produced binary responses: encode_bytes=%v", encoded)
-			}
-			if tc.name == "client opt-out" && fellBack == 0 {
-				t.Fatal("opted-out client not counted as codec fallback")
-			}
-		})
-	}
+		}
+		frames <- n
+	}()
+	return l.Addr().String(), frames
 }
 
 // TestBinaryBatchRoundTrip drives SubmitBatch over a binary session:
@@ -106,7 +120,7 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 		dgl.NewStatusRequest("user", "dgf-missing", false), // fails per-item
 		dgl.NewRequest("user", "", noopFlow("b2")),
 	}
-	resps, err := c.SubmitBatch(context.Background(), "user", reqs)
+	resps, err := submitBatch(context.Background(), c, "user", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,50 +167,35 @@ func TestBinaryControlVerbs(t *testing.T) {
 	}
 }
 
-// TestBinaryPayloadRefusedByOldServer sends a raw binary DGL frame to a
-// server pinned below 1.4: the server must answer with a protocol-class
-// error in the legacy encoding, not sever or misparse.
-func TestBinaryPayloadRefusedByOldServer(t *testing.T) {
+// TestTextPayloadRejected sends an XML request document on a helloed
+// session: the server answers with an invalid-class error in a binary
+// reply, and the connection keeps serving.
+func TestTextPayloadRejected(t *testing.T) {
 	e := newEngine(t, "")
-	s := NewServerConfig(e, ServerConfig{ProtoMinor: 3})
-	addr, err := s.Listen("127.0.0.1:0")
+	_, addr := startServer(t, e)
+	c := dialMux(t, addr)
+	doc, err := dgl.Marshal(dgl.NewRequest("user", "", noopFlow("rogue")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	// A well-behaved 1.4 client never does this after the 1.3 hello; a
-	// buggy one must still get a typed answer.
-	enc := codec.GetEncoder()
-	defer codec.PutEncoder(enc)
-	codec.AppendRequest(enc, dgl.NewRequest("user", "", noopFlow("rogue")))
-	kind, payload, err := c.roundTrip(context.Background(), KindDGL, enc.Bytes())
+	kind, payload, err := c.roundTrip(context.Background(), KindDGL, doc)
 	if err != nil || kind != KindDGL {
 		t.Fatalf("round trip = %d, %v", kind, err)
 	}
-	resp, err := parseResponsePayload(payload)
+	resp, err := codec.DecodeResponse(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Error == "" || !errors.Is(dgferr.Decode(resp.Error), dgferr.ErrProtocol) {
-		t.Fatalf("response error = %q, want protocol class", resp.Error)
+	if resp.Error == "" || !errors.Is(dgferr.Decode(resp.Error), dgferr.ErrInvalid) {
+		t.Fatalf("response error = %q, want invalid class", resp.Error)
 	}
-	// The connection survived: a legacy request still works.
 	if _, err := c.SubmitFlow("user", noopFlow("after")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestBinaryDelegateEnvelope drives a delegation over a binary session
-// directly at the client level (federation peers get this for free once
-// both ends negotiate 1.4).
+// directly at the client level, as federation peers do.
 func TestBinaryDelegateEnvelope(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
@@ -211,18 +210,13 @@ func TestBinaryDelegateEnvelope(t *testing.T) {
 	if !c.Binary() {
 		t.Fatal("expected binary session")
 	}
-	reqXML, err := dgl.Marshal(dgl.NewRequest("user", "", noopFlow("dlg")))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := c.Delegate(context.Background(), Delegate{
-		User: "user", Request: string(reqXML), Origin: "origin-node",
+		User: "user", Request: dgl.NewRequest("user", "", noopFlow("dlg")), Origin: "origin-node",
 	})
 	if err != nil || !res.OK || res.ID == "" {
 		t.Fatalf("delegate = %+v, %v", res, err)
 	}
-	st, err := dgl.ParseFlowStatus([]byte(res.Status))
-	if err != nil || st.State != "succeeded" {
-		t.Fatalf("delegate status = %+v, %v", st, err)
+	if res.Status == nil || res.Status.State != "succeeded" {
+		t.Fatalf("delegate status = %+v", res.Status)
 	}
 }

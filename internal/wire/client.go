@@ -17,13 +17,12 @@ import (
 	"datagridflow/internal/vdata"
 )
 
-// Client is a connection to one matrix server. A fresh client speaks
-// the serial protocol — one request in flight at a time, matching
-// pre-1.2 servers. Calling Hello negotiates the protocol version; when
-// both ends speak >= 1.2 the session upgrades to multiplexed framing
-// and the client pipelines: any number of goroutines may issue
-// requests concurrently over the one connection, each completed
-// through its own channel when the matching response id arrives.
+// Client is a connection to one matrix server. Every session opens
+// with the hello exchange — run explicitly by Hello, or by the client
+// itself before its first request — after which any number of
+// goroutines may issue requests concurrently over the one connection,
+// each completed through its own channel when the matching response id
+// arrives.
 //
 // Server-reported failures come back as typed errors: the server
 // encodes its error class on the wire (docs/WIRE.md, "Typed errors")
@@ -39,33 +38,19 @@ type Client struct {
 	// may race with in-flight round trips).
 	timeout atomic.Int64
 
-	// writeMu serializes frame writes; in serial mode it spans the whole
-	// round trip (write + read), in mux mode only the write.
+	// writeMu serializes frame writes; during the hello exchange it
+	// spans the whole round trip (write + read).
 	writeMu sync.Mutex
 
-	mu      sync.Mutex
-	conn    net.Conn
-	muxed   bool
-	closed  bool
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
+	// helloed is set once the hello exchange on conn succeeded: the
+	// session speaks mux framing and the read loop is running.
+	helloed bool
 	nextID  uint64
 	pending map[uint64]chan muxReply
 	readErr error // terminal until Redial: set once the mux read loop exits
-	// helloed records that Hello negotiated at least once, so Redial
-	// knows to re-run the handshake: negotiated state (mux, binary
-	// codec, server version) belongs to a connection, not the client,
-	// and must be refreshed on every new conn.
-	helloed bool
-	// serverMajor/serverMinor record the version the server advertised
-	// in the hello reply (zero before Hello) — the feature gate for
-	// delegation and the binary codec.
-	serverMajor int
-	serverMinor int
-	// binary is set by Hello when both ends speak >= 1.4 (and
-	// DisableBinary wasn't called): requests are encoded with
-	// internal/codec instead of XML/JSON. Responses are always decoded
-	// by sniffing, so the flag only governs what this client sends.
-	binary    bool
-	binaryOff bool
 	// token is the tenant bearer token attached to every submit, batch,
 	// delegate and route frame (SetToken, docs/TENANCY.md). tenant
 	// records the identity the server verified in the hello reply.
@@ -97,16 +82,15 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 
 // SetTimeout bounds every subsequent request (write + read) by d on the
 // wall clock; zero restores unbounded requests. Per-request contexts
-// (SubmitContext) compose with it — whichever limit is tighter wins.
+// (Submit's ctx) compose with it — whichever limit is tighter wins.
 // Safe to call concurrently with in-flight requests.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 // SetToken attaches a tenant bearer token (tenant.Authority.Mint,
 // docs/TENANCY.md) to every subsequent submit, batch, delegate and
 // route frame, and offers it during Hello so the server can verify the
-// session identity up front. An empty string detaches. Pre-1.7 servers
-// skip the token field and account the caller as anonymous — sending
-// one is always safe.
+// session identity up front. An empty string detaches. Servers without
+// a token authority ignore it.
 func (c *Client) SetToken(tok string) {
 	c.mu.Lock()
 	c.token = tok
@@ -121,7 +105,7 @@ func (c *Client) Token() string {
 }
 
 // Tenant returns the identity the server verified during Hello, or ""
-// when no token was offered (or the server predates tenancy).
+// when no token was offered (or the server has no token authority).
 func (c *Client) Tenant() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -147,94 +131,35 @@ func (c *Client) current() net.Conn {
 	return c.conn
 }
 
-// Muxed reports whether Hello negotiated the multiplexed protocol on
-// this connection.
+// Muxed reports whether the hello exchange completed on this
+// connection, switching it to mux framing.
 func (c *Client) Muxed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.muxed
+	return c.helloed
 }
 
-// Binary reports whether Hello negotiated the binary codec on this
-// connection (both ends >= 1.4 and DisableBinary not called).
-func (c *Client) Binary() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.binary
-}
+// Binary reports whether the session carries binary codec payloads —
+// true exactly when the hello exchange completed, like Muxed.
+func (c *Client) Binary() bool { return c.Muxed() }
 
-// DisableBinary pins this client to the legacy text encodings (XML
-// requests, JSON envelopes) even against a 1.4 server — an interop and
-// benchmarking knob. Safe at any point: calling it after Hello stops
-// binary encoding from the next request on.
-func (c *Client) DisableBinary() {
-	c.mu.Lock()
-	c.binaryOff = true
-	c.binary = false
-	c.mu.Unlock()
-}
-
-// roundTrip performs one request-response, dispatching on the session
-// mode. The serial path holds writeMu for the whole exchange; the mux
-// path registers a completion channel keyed by request id.
+// roundTrip performs one request-response on the mux session, running
+// the hello exchange first when this connection has not had one. It
+// registers a completion channel keyed by a fresh request id, writes
+// the frame, and waits. Cancellation abandons the request (the
+// response, if it ever arrives, is discarded) without disturbing other
+// in-flight requests.
 func (c *Client) roundTrip(ctx context.Context, kind byte, payload []byte) (byte, []byte, error) {
 	for {
-		if c.Muxed() {
-			return c.roundTripMux(ctx, kind, payload)
+		if err := c.ensureHello(ctx); err != nil {
+			return 0, nil, err
 		}
-		c.writeMu.Lock()
-		if c.Muxed() {
-			// Another goroutine upgraded the session while we waited for
-			// the lock; retry on the mux path.
-			c.writeMu.Unlock()
-			continue
+		c.mu.Lock()
+		if c.helloed {
+			break // c.mu stays held for the registration below
 		}
-		k, resp, err := c.serialRoundTripLocked(ctx, kind, payload)
-		c.writeMu.Unlock()
-		return k, resp, err
+		c.mu.Unlock() // a Redial replaced the session in between: retry
 	}
-}
-
-// serialRoundTripLocked performs one framed request-response; the
-// caller holds writeMu. The context's deadline/cancellation and the
-// client timeout apply to the connection for the duration.
-func (c *Client) serialRoundTripLocked(ctx context.Context, kind byte, payload []byte) (byte, []byte, error) {
-	conn := c.current()
-	deadline := time.Time{}
-	if d := time.Duration(c.timeout.Load()); d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline) // zero clears
-	stop := context.AfterFunc(ctx, func() {
-		// Cancellation interrupts in-flight I/O by expiring the deadline.
-		_ = conn.SetDeadline(time.Now())
-	})
-	defer stop()
-	if err := WriteFrame(conn, kind, payload); err != nil {
-		return 0, nil, c.ctxErr(ctx, err)
-	}
-	k, resp, err := ReadFrame(conn)
-	if err != nil {
-		return 0, nil, c.ctxErr(ctx, err)
-	}
-	return k, resp, nil
-}
-
-// roundTripMux pipelines one request: write the frame with a fresh id,
-// then wait on the per-request completion channel. Cancellation
-// abandons the request (the response, if it ever arrives, is
-// discarded) without disturbing other in-flight requests.
-func (c *Client) roundTripMux(ctx context.Context, kind byte, payload []byte) (byte, []byte, error) {
-	if d := time.Duration(c.timeout.Load()); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	ch := make(chan muxReply, 1)
-	c.mu.Lock()
 	if c.readErr != nil {
 		err := c.readErr
 		c.mu.Unlock()
@@ -242,8 +167,14 @@ func (c *Client) roundTripMux(ctx context.Context, kind byte, payload []byte) (b
 	}
 	c.nextID++
 	id := c.nextID
+	ch := make(chan muxReply, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
+	if d := time.Duration(c.timeout.Load()); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
 
 	c.writeMu.Lock()
 	err := WriteMuxFrame(c.current(), kind, id, payload)
@@ -276,16 +207,31 @@ func (c *Client) roundTripMux(ctx context.Context, kind byte, payload []byte) (b
 	}
 }
 
-// upgrade switches the session to multiplexed framing and starts the
-// response reader. Caller holds writeMu (so no serial round trip can
-// interleave between the hello reply and the reader start).
+// ensureHello runs the hello exchange unless this connection already
+// completed one.
+func (c *Client) ensureHello(ctx context.Context) error {
+	if c.Muxed() {
+		return nil
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if c.Muxed() {
+		return nil // another request completed the exchange first
+	}
+	_, err := c.helloLocked(ctx)
+	return err
+}
+
+// upgrade marks the session helloed and starts the response reader.
+// Caller holds writeMu (so no request can be written between the hello
+// reply and the reader start).
 func (c *Client) upgrade() {
 	conn := c.current()
 	// Clear any deadline left by the hello round trip: mux reads block
 	// indefinitely and complete per-request via completion channels.
 	_ = conn.SetDeadline(time.Time{})
 	c.mu.Lock()
-	c.muxed = true
+	c.helloed = true
 	c.pending = make(map[uint64]chan muxReply)
 	c.mu.Unlock()
 	go c.readLoop(conn)
@@ -341,13 +287,9 @@ func (c *Client) failAllFor(conn net.Conn, cause error) {
 }
 
 // Redial tears down the dead connection and dials the server again,
-// re-running the hello handshake when the old session had negotiated
-// one. Negotiated state — mux framing, the binary codec, the server's
-// advertised version — belongs to a connection, not the client; a
-// redial that skipped the handshake would happily send binary mux
-// frames to a server that never agreed to them on this session (or,
-// after a server downgrade, to one that cannot speak them at all).
-// In-flight requests on the old session fail with their original
+// running the hello exchange on the new connection before releasing it
+// to callers: a session belongs to a connection, not the client. In-
+// flight requests on the old session fail with their original
 // resource-down error. Safe to call concurrently; requests issued
 // during the redial block until it completes.
 func (c *Client) Redial(ctx context.Context) error {
@@ -360,7 +302,6 @@ func (c *Client) Redial(ctx context.Context) error {
 	}
 	old := c.conn
 	addr := c.addr
-	helloed := c.helloed
 	c.mu.Unlock()
 	if addr == "" {
 		return fmt.Errorf("%w: wire: client was not dialed (no address to redial)", dgferr.ErrInvalid)
@@ -373,20 +314,12 @@ func (c *Client) Redial(ctx context.Context) error {
 	}
 	c.mu.Lock()
 	c.conn = conn
-	// Fresh session: everything Hello negotiated is void until it runs
-	// again, so the client drops back to serial XML/JSON framing.
-	c.muxed = false
+	c.helloed = false
 	c.pending = nil
 	c.readErr = nil
-	c.serverMajor, c.serverMinor = 0, 0
-	c.binary = false
 	c.mu.Unlock()
-	if helloed {
-		if _, err := c.helloLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = c.helloLocked(ctx)
+	return err
 }
 
 // ctxErr maps an I/O error caused by context cancellation back to the
@@ -410,18 +343,7 @@ func (c *Client) ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// SubmitContext sends one DGL request under a context: the deadline
-// bounds the round trip and cancellation interrupts in-flight I/O
-// (serial mode) or abandons the pipelined request (mux mode).
-//
-// Deprecated: use Submit(ctx, req) — this wrapper remains for source
-// compatibility with the pre-1.5 submit surface.
-func (c *Client) SubmitContext(ctx context.Context, req *dgl.Request) (*dgl.Response, error) {
-	return c.submitOne(ctx, req)
-}
-
-// submitOne is the single-request transport core shared by Submit and
-// the deprecated wrappers.
+// submitOne is the single-request transport core of Submit.
 func (c *Client) submitOne(ctx context.Context, req *dgl.Request) (*dgl.Response, error) {
 	if tok := c.Token(); tok != "" && req.Token == "" {
 		// Attach the session token without mutating the caller's request.
@@ -429,126 +351,53 @@ func (c *Client) submitOne(ctx context.Context, req *dgl.Request) (*dgl.Response
 		stamped.Token = tok
 		req = &stamped
 	}
-	var data []byte
-	if c.Binary() {
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		codec.AppendRequest(enc, req)
-		data = enc.Bytes()
-	} else {
-		var err error
-		if data, err = dgl.Marshal(req); err != nil {
-			return nil, err
-		}
-	}
-	kind, payload, err := c.roundTrip(ctx, KindDGL, data)
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	codec.AppendRequest(enc, req)
+	kind, payload, err := c.roundTrip(ctx, KindDGL, enc.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	if kind != KindDGL {
 		return nil, errors.New("wire: unexpected frame kind in response")
 	}
-	return parseResponsePayload(payload)
+	return codec.DecodeResponse(payload)
 }
 
-// parseResponsePayload sniffs a DGL response payload's encoding —
-// servers mirror the request encoding, but decoding never assumes.
-func parseResponsePayload(payload []byte) (*dgl.Response, error) {
-	if codec.IsBinary(payload) {
-		return codec.DecodeResponse(payload)
-	}
-	return dgl.ParseResponse(payload)
-}
-
-// SubmitBatch submits N requests in one round trip on a multiplexed
-// session (the KindBatch frame), falling back to sequential submission
-// against pre-1.2 serial servers.
-//
-// Deprecated: use Submit(ctx, nil, WithBatch(reqs...), WithUser(user))
-// — this wrapper remains for source compatibility with the pre-1.5
-// submit surface.
-func (c *Client) SubmitBatch(ctx context.Context, user string, reqs []*dgl.Request) ([]*dgl.Response, error) {
-	return c.submitBatch(ctx, user, reqs)
-}
-
-// submitBatch is the batch transport core shared by Submit and the
-// deprecated SubmitBatch wrapper. The reply is positional: item i's
-// response answers reqs[i], with per-item failures carried in each
-// response's Error field (decode with dgferr.Decode). A transport
-// failure aborts the whole call with a typed error. user names the
-// identity the server's admission scheduler accounts the batch to.
+// submitBatch is the batch transport core of Submit: N requests in one
+// KindBatch round trip. The reply is positional: item i's response
+// answers reqs[i], with per-item failures carried in each response's
+// Error field (decode with dgferr.Decode). A transport failure aborts
+// the whole call with a typed error. user names the identity the
+// server's admission scheduler accounts the batch to.
 func (c *Client) submitBatch(ctx context.Context, user string, reqs []*dgl.Request) ([]*dgl.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	if !c.Muxed() {
-		// Pre-1.2 fallback: one serial round trip per item.
-		out := make([]*dgl.Response, len(reqs))
-		for i, req := range reqs {
-			resp, err := c.SubmitContext(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = resp
-		}
-		return out, nil
+	// Each item is encoded into a pooled scratch encoder and streamed
+	// straight into the envelope — one copy per item. Collecting the
+	// items first would copy every payload twice, which dominates batch
+	// CPU once items carry multi-kilobyte variable sets.
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendBatchStart(enc, user, c.Token())
+	ie := codec.GetEncoder()
+	for _, req := range reqs {
+		ie.Reset()
+		codec.AppendRequest(ie, req)
+		appendBatchItem(enc, ie.Bytes())
 	}
-	var payload []byte
-	if c.Binary() {
-		// Binary envelope with binary items: each item is encoded into a
-		// pooled scratch encoder and streamed straight into the envelope —
-		// one copy per item. Collecting the items first would copy every
-		// payload twice, which dominates batch CPU once items carry
-		// multi-kilobyte variable sets.
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		appendBatchStart(enc, user, c.Token())
-		ie := codec.GetEncoder()
-		for _, req := range reqs {
-			ie.Reset()
-			codec.AppendRequest(ie, req)
-			appendBatchItem(enc, ie.Bytes())
-		}
-		codec.PutEncoder(ie)
-		payload = enc.Bytes()
-	} else {
-		b := Batch{User: user, Token: c.Token(), Requests: make([]string, len(reqs))}
-		for i, req := range reqs {
-			data, err := dgl.Marshal(req)
-			if err != nil {
-				return nil, fmt.Errorf("wire: batch item %d: %w", i, err)
-			}
-			b.Requests[i] = string(data)
-		}
-		var err error
-		if payload, err = json.Marshal(b); err != nil {
-			return nil, err
-		}
-	}
-	kind, resp, err := c.roundTrip(ctx, KindBatch, payload)
+	codec.PutEncoder(ie)
+	kind, resp, err := c.roundTrip(ctx, KindBatch, enc.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	if kind != KindBatch {
 		return nil, errors.New("wire: unexpected frame kind in batch response")
 	}
-	var ok bool
-	var errText string
-	var docs [][]byte
-	if codec.IsBinary(resp) {
-		if ok, errText, docs, err = decodeBatchResult(resp); err != nil {
-			return nil, fmt.Errorf("wire: bad batch reply: %w", err)
-		}
-	} else {
-		var res BatchResult
-		if err := json.Unmarshal(resp, &res); err != nil {
-			return nil, fmt.Errorf("wire: bad batch reply: %w", err)
-		}
-		ok, errText = res.OK, res.Error
-		docs = make([][]byte, len(res.Responses))
-		for i, d := range res.Responses {
-			docs[i] = []byte(d)
-		}
+	ok, errText, docs, err := decodeBatchResult(resp)
+	if err != nil {
+		return nil, fmt.Errorf("wire: bad batch reply: %w", err)
 	}
 	if !ok {
 		return nil, dgferr.Decode(errText)
@@ -558,7 +407,7 @@ func (c *Client) submitBatch(ctx context.Context, user string, reqs []*dgl.Reque
 	}
 	out := make([]*dgl.Response, len(reqs))
 	for i, doc := range docs {
-		r, err := parseResponsePayload(doc)
+		r, err := codec.DecodeResponse(doc)
 		if err != nil {
 			return nil, fmt.Errorf("wire: batch reply item %d: %w", i, err)
 		}
@@ -590,33 +439,6 @@ func (c *Client) RunFlow(ctx context.Context, user string, flow dgl.Flow) (*dgl.
 	return resp.Status, nil
 }
 
-// SubmitAsync submits a flow asynchronously and returns the execution id
-// from the acknowledgement.
-//
-// Deprecated: use Submit(ctx, dgl.NewRequest(user, "", flow),
-// WithAsync()) and read SubmitResult.ID — this wrapper remains for
-// source compatibility with the pre-1.5 submit surface.
-func (c *Client) SubmitAsync(user string, flow dgl.Flow) (string, error) {
-	return c.SubmitAsyncContext(context.Background(), user, flow)
-}
-
-// SubmitAsyncContext is SubmitAsync under a context.
-//
-// Deprecated: see SubmitAsync.
-func (c *Client) SubmitAsyncContext(ctx context.Context, user string, flow dgl.Flow) (string, error) {
-	resp, err := c.submitOne(ctx, dgl.NewAsyncRequest(user, "", flow))
-	if err != nil {
-		return "", err
-	}
-	if resp.Error != "" {
-		return "", dgferr.Decode(resp.Error)
-	}
-	if resp.Ack == nil || !resp.Ack.Valid {
-		return "", errors.New("wire: missing acknowledgement")
-	}
-	return resp.Ack.ID, nil
-}
-
 // Status queries the status of an execution, flow or step id.
 func (c *Client) Status(user, id string, detail bool) (*dgl.FlowStatus, error) {
 	resp, err := c.submitOne(context.Background(), dgl.NewStatusRequest(user, id, detail))
@@ -638,31 +460,18 @@ func (c *Client) control(op, id string) (ControlResult, error) {
 }
 
 func (c *Client) controlMsg(ctx context.Context, msg Control) (ControlResult, error) {
-	var data []byte
-	if c.Binary() {
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		appendControl(enc, &msg)
-		data = enc.Bytes()
-	} else {
-		var err error
-		if data, err = json.Marshal(msg); err != nil {
-			return ControlResult{}, err
-		}
-	}
-	kind, payload, err := c.roundTrip(ctx, KindControl, data)
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendControl(enc, &msg)
+	kind, payload, err := c.roundTrip(ctx, KindControl, enc.Bytes())
 	if err != nil {
 		return ControlResult{}, err
 	}
 	if kind != KindControl {
 		return ControlResult{}, errors.New("wire: unexpected frame kind in response")
 	}
-	var res ControlResult
-	if codec.IsBinary(payload) {
-		if res, err = decodeControlResult(payload); err != nil {
-			return ControlResult{}, err
-		}
-	} else if err := json.Unmarshal(payload, &res); err != nil {
+	res, err := decodeControlResult(payload)
+	if err != nil {
 		return ControlResult{}, err
 	}
 	if !res.OK && res.Error != "" {
@@ -671,109 +480,110 @@ func (c *Client) controlMsg(ctx context.Context, msg Control) (ControlResult, er
 	return res, nil
 }
 
-// Hello negotiates the protocol version with the server: it offers the
-// client's version and returns the server's. Servers reject a major
-// mismatch with an error carrying the protocol class
-// (errors.Is(err, dgferr.ErrProtocol)). When both ends speak >= 1.2
-// the session upgrades to multiplexed framing: subsequent requests
-// pipeline over the connection and SubmitBatch uses batch frames.
-// Against an older serial server the client simply stays serial —
-// Hello is the negotiation point, and not calling it leaves the
-// session serial regardless of server version.
+// Hello runs the hello exchange: it offers the client's version (and
+// its token, if set) and returns the server's. Servers refuse a major
+// mismatch — and a forged or expired token — with a typed error
+// (errors.Is(err, dgferr.ErrProtocol) / dgferr.ErrAuth), leaving the
+// connection waiting for another hello. A successful exchange switches
+// the session to mux framing with binary codec payloads. Calling Hello
+// is optional: the client runs the exchange itself before its first
+// request. On a session that already completed it, Hello re-sends the
+// verb over mux, re-verifying the token.
 func (c *Client) Hello() (serverProto string, err error) {
-	msg := Control{Op: "hello", Proto: ProtoVersion(ProtoMajor, ProtoMinor), Token: c.Token()}
-	if c.Muxed() {
-		// Already negotiated: a repeat hello is an ordinary control verb.
-		res, err := c.controlMsg(context.Background(), msg)
-		if err != nil {
-			return "", err
-		}
-		c.mu.Lock()
-		c.tenant = res.Tenant
-		c.mu.Unlock()
-		return res.Proto, nil
-	}
 	c.writeMu.Lock()
-	if c.Muxed() {
-		// Raced with another Hello that upgraded first.
+	if !c.Muxed() {
+		proto, err := c.helloLocked(context.Background())
 		c.writeMu.Unlock()
-		res, err := c.controlMsg(context.Background(), msg)
-		if err != nil {
-			return "", err
-		}
-		c.mu.Lock()
-		c.tenant = res.Tenant
-		c.mu.Unlock()
-		return res.Proto, nil
+		return proto, err
 	}
-	proto, err := c.helloLocked()
 	c.writeMu.Unlock()
-	return proto, err
-}
-
-// helloLocked runs the serial hello negotiation; the caller holds
-// writeMu and the session is not muxed. Shared between Hello and
-// Redial (which must refresh negotiated state on the new connection
-// before releasing the session to callers).
-func (c *Client) helloLocked() (serverProto string, err error) {
-	msg := Control{Op: "hello", Proto: ProtoVersion(ProtoMajor, ProtoMinor), Token: c.Token()}
-	data, err := json.Marshal(msg)
+	res, err := c.controlMsg(context.Background(), c.helloMsg())
 	if err != nil {
 		return "", err
 	}
-	kind, payload, err := c.serialRoundTripLocked(context.Background(), KindControl, data)
-	if err != nil {
-		return "", err
-	}
-	var res ControlResult
-	if kind == KindControl {
-		err = json.Unmarshal(payload, &res)
-	} else {
-		err = errors.New("wire: unexpected frame kind in hello response")
-	}
-	if err == nil && !res.OK && res.Error != "" {
-		err = dgferr.Decode(res.Error)
-	}
-	if err == nil && res.OK {
-		if major, minor, perr := ParseProtoVersion(res.Proto); perr == nil {
-			c.mu.Lock()
-			c.serverMajor, c.serverMinor = major, minor
-			// Both ends >= 1.4: switch the hot paths to the binary codec
-			// (docs/CODEC.md). The hello exchange itself always rides
-			// JSON — it is what discovers whether binary is safe.
-			c.binary = !c.binaryOff && BinarySupported(major, minor)
-			c.tenant = res.Tenant
-			c.helloed = true
-			c.mu.Unlock()
-			if MuxSupported(major, minor) {
-				// Both ends speak >= 1.2: the server switched to mux framing
-				// right after this reply; follow before releasing writeMu.
-				c.upgrade()
-			}
-		}
-	}
-	if err != nil {
-		return "", err
-	}
+	c.mu.Lock()
+	c.tenant = res.Tenant
+	c.mu.Unlock()
 	return res.Proto, nil
 }
 
-// ServerProto returns the version the server advertised in the hello
-// reply, or zeros before Hello has completed.
-func (c *Client) ServerProto() (major, minor int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serverMajor, c.serverMinor
+// helloMsg is the hello verb offering this client's version and token.
+func (c *Client) helloMsg() Control {
+	return Control{Op: "hello", Proto: ProtoVersion(ProtoMajor, ProtoMinor), Token: c.Token()}
 }
 
-// CanDelegate reports whether this session may carry delegate frames:
-// the session is multiplexed and the server advertised >= 1.3 in its
-// hello reply. Against an older server the federation layer never sends
-// a delegate frame — the subflow stays local (docs/FEDERATION.md).
-func (c *Client) CanDelegate() bool {
+// helloLocked runs the hello exchange on the plain framing; the caller
+// holds writeMu and the session has not completed a hello. The context
+// and the client timeout bound the round trip.
+func (c *Client) helloLocked(ctx context.Context) (serverProto string, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.muxed && DelegateSupported(c.serverMajor, c.serverMinor)
+	rerr := c.readErr
+	c.mu.Unlock()
+	if rerr != nil {
+		return "", rerr // an earlier exchange severed this connection
+	}
+	data, err := json.Marshal(c.helloMsg())
+	if err != nil {
+		return "", err
+	}
+	conn := c.current()
+	deadline := time.Time{}
+	if d := time.Duration(c.timeout.Load()); d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+		deadline = d
+	}
+	_ = conn.SetDeadline(deadline) // zero clears
+	stop := context.AfterFunc(ctx, func() {
+		// Cancellation interrupts in-flight I/O by expiring the deadline.
+		_ = conn.SetDeadline(time.Now())
+	})
+	// Once the hello frame is written, an exchange that does not end in
+	// a parsed reply leaves the two ends out of step: the server may
+	// have answered and switched to mux framing. Such a connection is
+	// severed, so the session needs a Redial.
+	sever := func(err error) (string, error) {
+		stop()
+		c.failAllFor(conn, err)
+		_ = conn.Close()
+		return "", err
+	}
+	if err := WriteFrame(conn, KindControl, data); err != nil {
+		return sever(c.ctxErr(ctx, err))
+	}
+	kind, payload, err := ReadFrame(conn)
+	if err != nil {
+		return sever(c.ctxErr(ctx, err))
+	}
+	if !stop() {
+		// The context fired after the reply arrived: its deadline may
+		// already be on the connection, or be set after upgrade clears it.
+		return sever(c.ctxErr(ctx, context.Cause(ctx)))
+	}
+	if kind != KindControl {
+		return sever(fmt.Errorf("%w: wire: unexpected frame kind %d in hello response", dgferr.ErrProtocol, kind))
+	}
+	var res ControlResult
+	if err := json.Unmarshal(payload, &res); err != nil {
+		return sever(fmt.Errorf("%w: wire: bad hello reply: %v", dgferr.ErrProtocol, err))
+	}
+	if !res.OK {
+		// A refused hello leaves the server waiting for another one.
+		if res.Error == "" {
+			return "", fmt.Errorf("%w: hello refused", dgferr.ErrProtocol)
+		}
+		return "", dgferr.Decode(res.Error)
+	}
+	if major, _, err := ParseProtoVersion(res.Proto); err != nil || major != ProtoMajor {
+		return sever(fmt.Errorf("%w: server speaks %q, client speaks %s",
+			dgferr.ErrProtocol, res.Proto, ProtoVersion(ProtoMajor, ProtoMinor)))
+	}
+	c.mu.Lock()
+	c.tenant = res.Tenant
+	c.mu.Unlock()
+	c.upgrade()
+	return res.Proto, nil
 }
 
 // Delegate asks the server to execute a subflow on this peer's behalf
@@ -784,52 +594,24 @@ func (c *Client) CanDelegate() bool {
 // cannot know whether the remote ran anything (the at-least-once caveat
 // in docs/FEDERATION.md).
 func (c *Client) Delegate(ctx context.Context, d Delegate) (*DelegateResult, error) {
-	if !c.CanDelegate() {
-		return nil, fmt.Errorf("%w: server does not accept delegate frames (need >= %s)",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, delegateMinor))
-	}
-	var payload []byte
-	if c.Binary() {
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		appendDelegate(enc, &d)
-		payload = enc.Bytes()
-	} else {
-		var err error
-		if payload, err = json.Marshal(d); err != nil {
-			return nil, err
-		}
-	}
-	kind, resp, err := c.roundTrip(ctx, KindDelegate, payload)
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendDelegate(enc, &d)
+	kind, resp, err := c.roundTrip(ctx, KindDelegate, enc.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	if kind != KindDelegate {
 		return nil, errors.New("wire: unexpected frame kind in delegate response")
 	}
-	var res DelegateResult
-	if codec.IsBinary(resp) {
-		if res, err = decodeDelegateResult(resp); err != nil {
-			return nil, fmt.Errorf("wire: bad delegate reply: %w", err)
-		}
-	} else if err := json.Unmarshal(resp, &res); err != nil {
+	res, err := decodeDelegateResult(resp)
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad delegate reply: %w", err)
 	}
 	if !res.OK {
 		return &res, dgferr.Decode(res.Error)
 	}
 	return &res, nil
-}
-
-// CanRoute reports whether this session may carry route frames: the
-// session is multiplexed and the server advertised >= 1.5 in its hello
-// reply. Against an older server the sharding layer never sends a
-// route frame — the submission stays local-accepted
-// (docs/FEDERATION.md, "Sharded ownership").
-func (c *Client) CanRoute() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.muxed && RouteSupported(c.serverMajor, c.serverMinor)
 }
 
 // Route hands a submission to the peer that owns its shard and waits
@@ -839,43 +621,24 @@ func (c *Client) CanRoute() bool {
 // the caller re-resolves and retries. A transport failure returns a
 // nil result; the caller cannot know whether the remote accepted.
 func (c *Client) Route(ctx context.Context, rt Route) (*RouteResult, error) {
-	if !c.CanRoute() {
-		return nil, fmt.Errorf("%w: server does not accept route frames (need >= %s)",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, routeMinor))
-	}
-	// Route envelopes always ride JSON: the hot payload is the embedded
-	// request document, which keeps whatever encoding the origin chose.
-	payload, err := json.Marshal(rt)
-	if err != nil {
-		return nil, err
-	}
-	kind, resp, err := c.roundTrip(ctx, KindRoute, payload)
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendRoute(enc, &rt)
+	kind, resp, err := c.roundTrip(ctx, KindRoute, enc.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	if kind != KindRoute {
 		return nil, errors.New("wire: unexpected frame kind in route response")
 	}
-	var res RouteResult
-	if err := json.Unmarshal(resp, &res); err != nil {
+	res, err := decodeRouteResult(resp)
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad route reply: %w", err)
 	}
 	if !res.OK && res.Error != "" {
 		return &res, dgferr.Decode(res.Error)
 	}
 	return &res, nil
-}
-
-// CanReplicate reports whether this session may carry replicate
-// frames: the session is multiplexed and the server advertised >= 1.6
-// in its hello reply. Against an older server the replication layer
-// never sends one — that follower is skipped
-// (repl_skipped_peers_total) until it upgrades, the sniff-side of the
-// 1.5/1.6 fallback (docs/REPLICATION.md).
-func (c *Client) CanReplicate() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.muxed && ReplicateSupported(c.serverMajor, c.serverMinor)
 }
 
 // Replicate delivers one replication frame — an append block of the
@@ -885,42 +648,18 @@ func (c *Client) CanReplicate() bool {
 // ships a snapshot and retries. A transport failure returns a nil
 // result.
 func (c *Client) Replicate(ctx context.Context, f Replicate) (*ReplicateResult, error) {
-	if !c.CanReplicate() {
-		return nil, fmt.Errorf("%w: server does not accept replicate frames (need >= %s)",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, replMinor))
-	}
-	// The envelope rides binary when the session negotiated it (>= 1.4
-	// both ends): replication is the owner's hot path under quorum ack,
-	// and the JSON envelope's marshal + base64 of the block is pure
-	// per-frame overhead. The record block inside keeps the sender's
-	// store encoding either way — envelope and block encodings are
-	// independent.
-	var payload []byte
-	if c.Binary() {
-		enc := codec.GetEncoder()
-		defer codec.PutEncoder(enc)
-		appendReplicate(enc, &f)
-		payload = enc.Bytes()
-	} else {
-		var err error
-		if payload, err = json.Marshal(f); err != nil {
-			return nil, err
-		}
-	}
-	kind, resp, err := c.roundTrip(ctx, KindReplicate, payload)
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	appendReplicate(enc, &f)
+	kind, resp, err := c.roundTrip(ctx, KindReplicate, enc.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	if kind != KindReplicate {
 		return nil, errors.New("wire: unexpected frame kind in replicate response")
 	}
-	// Servers mirror the request encoding, but decoding never assumes.
-	var res ReplicateResult
-	if codec.IsBinary(resp) {
-		if res, err = decodeReplicateResult(resp); err != nil {
-			return nil, fmt.Errorf("wire: bad replicate reply: %w", err)
-		}
-	} else if err := json.Unmarshal(resp, &res); err != nil {
+	res, err := decodeReplicateResult(resp)
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad replicate reply: %w", err)
 	}
 	if res.Error != "" {
@@ -931,7 +670,7 @@ func (c *Client) Replicate(ctx context.Context, f Replicate) (*ReplicateResult, 
 
 // Repl retrieves the server's replication posture — ack mode, follower
 // acknowledgement positions and standby sources — over the control
-// extension. Requires a replicating 1.6 server.
+// extension. Requires a replicating server.
 func (c *Client) Repl() (*ReplInfo, error) {
 	res, err := c.control("repl", "")
 	if err != nil {
@@ -943,21 +682,10 @@ func (c *Client) Repl() (*ReplInfo, error) {
 	return res.Repl, nil
 }
 
-// CanTenant reports whether the server advertised tenancy-aware wire
-// support (>= 1.7) in its hello reply: the "tenants" control verb and
-// token verification on submit, batch, delegate and route frames.
-// Against an older server tokens are skipped and the caller is
-// accounted as anonymous (docs/TENANCY.md).
-func (c *Client) CanTenant() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return TenantSupported(c.serverMajor, c.serverMinor)
-}
-
 // Tenants retrieves the server's tenancy posture — whether tenancy and
 // token auth are enabled, the registered-tenant count, and up to limit
 // per-tenant usage rows ordered by activity (0 applies the server
-// default). Requires a 1.7 server.
+// default).
 func (c *Client) Tenants(limit int) (*TenantsInfo, error) {
 	res, err := c.controlMsg(context.Background(), Control{Op: "tenants", Limit: limit})
 	if err != nil {
@@ -969,24 +697,9 @@ func (c *Client) Tenants(limit int) (*TenantsInfo, error) {
 	return res.Tenants, nil
 }
 
-// CanVdata reports whether the server advertised virtual-data wire
-// support (>= 1.8) in its hello reply: the "vdata" control verb for
-// fleet-wide derivation lookup, publish and invalidation. Against an
-// older server the memoization plane degrades to local-only
-// (docs/VDATA.md).
-func (c *Client) CanVdata() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return VdataSupported(c.serverMajor, c.serverMinor)
-}
-
 // vdataMsg sends one "vdata" sub-operation, carrying the session token
 // and the claimed tenant identity for per-tenant re-verification.
 func (c *Client) vdataMsg(msg Control) (*VdataInfo, error) {
-	if !c.CanVdata() {
-		return nil, fmt.Errorf("%w: server does not speak the vdata verb (need >= %s)",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, vdataMinor))
-	}
 	msg.Op = "vdata"
 	if msg.Token == "" {
 		msg.Token = c.Token()
@@ -1001,8 +714,8 @@ func (c *Client) vdataMsg(msg Control) (*VdataInfo, error) {
 	return res.Vdata, nil
 }
 
-// VdataStats retrieves the server's derivation-catalog shape. Requires
-// a 1.8 server; Enabled false means no catalog is attached there.
+// VdataStats retrieves the server's derivation-catalog shape; Enabled
+// false means no catalog is attached there.
 func (c *Client) VdataStats() (*VdataInfo, error) {
 	return c.vdataMsg(Control{Sub: "stats"})
 }
@@ -1045,7 +758,7 @@ func (c *Client) VdataInvalidate(user, target string) (int, error) {
 
 // Owner asks the server which peer owns a flow or execution id,
 // resolved from tracked accepts, owner-prefixed ids, or the shard
-// ring (OwnerInfo.Source says which). Requires a sharded 1.5 server.
+// ring (OwnerInfo.Source says which). Requires a sharded server.
 func (c *Client) Owner(id string) (*OwnerInfo, error) {
 	res, err := c.control("owner", id)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"datagridflow/internal/codec"
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/matrix"
@@ -16,13 +17,9 @@ import (
 
 func delegatePayload(t *testing.T, user string, flow dgl.Flow) Delegate {
 	t.Helper()
-	doc, err := dgl.Marshal(dgl.NewAsyncRequest(user, "", flow))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Delegate{
 		User:       user,
-		Request:    string(doc),
+		Request:    dgl.NewAsyncRequest(user, "", flow),
 		Origin:     "origin-peer",
 		ParentExec: "origin-peer:dgf-000001",
 		ParentNode: "origin-peer:dgf-000001/parent/sub",
@@ -40,10 +37,6 @@ func TestDelegateRoundTrip(t *testing.T) {
 	if _, err := c.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.CanDelegate() {
-		major, minor := c.ServerProto()
-		t.Fatalf("CanDelegate = false after hello (server %d.%d)", major, minor)
-	}
 
 	flow := dgl.NewFlow("sub").
 		Step("ingest", dgl.Op(dgl.OpIngest, map[string]string{
@@ -56,9 +49,8 @@ func TestDelegateRoundTrip(t *testing.T) {
 	if !res.OK || !strings.HasPrefix(res.ID, "remote:") {
 		t.Fatalf("result = %+v", res)
 	}
-	st, err := dgl.ParseFlowStatus([]byte(res.Status))
-	if err != nil || st.State != "succeeded" {
-		t.Fatalf("status = %+v, %v", st, err)
+	if st := res.Status; st == nil || st.State != "succeeded" {
+		t.Fatalf("status = %+v", st)
 	}
 	if !e.Grid().Namespace().Exists("/grid/deleg.dat") {
 		t.Errorf("delegated ingest missing on remote")
@@ -100,8 +92,8 @@ func TestDelegateRemoteFlowFailure(t *testing.T) {
 	if res.ID == "" {
 		t.Errorf("failed delegation lost its remote id: %+v", res)
 	}
-	if st, perr := dgl.ParseFlowStatus([]byte(res.Status)); perr != nil || st.State != "failed" {
-		t.Errorf("status = %q (%v)", res.Status, perr)
+	if st := res.Status; st == nil || st.State != "failed" {
+		t.Errorf("status = %+v", st)
 	}
 }
 
@@ -116,47 +108,33 @@ func TestDelegateInvalidPayloads(t *testing.T) {
 	if _, err := c.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	// Unparseable request document.
-	res, err := c.Delegate(context.Background(), Delegate{User: "user", Request: "not xml"})
-	if err == nil || res == nil || !errors.Is(err, dgferr.ErrInvalid) {
+	// Undecodable request: an envelope whose nested request blob is not
+	// a codec payload.
+	enc := codec.GetEncoder()
+	defer codec.PutEncoder(enc)
+	enc.Begin(codec.MsgDelegate)
+	enc.Sym(1, "user")
+	enc.Blob(2, []byte("not a codec payload"))
+	kind, payload, err := c.roundTrip(context.Background(), KindDelegate, enc.Bytes())
+	if err != nil || kind != KindDelegate {
+		t.Fatalf("raw delegate round trip = %d, %v", kind, err)
+	}
+	res, err := decodeDelegateResult(payload)
+	if err != nil || res.OK || !errors.Is(dgferr.Decode(res.Error), dgferr.ErrInvalid) {
 		t.Errorf("bad request: res=%+v err=%v", res, err)
 	}
-	// Request with no flow.
-	doc, _ := dgl.Marshal(dgl.NewAsyncRequest("user", "", dgl.Flow{}))
-	res, err = c.Delegate(context.Background(), Delegate{User: "user", Request: string(doc)})
-	if err == nil || !errors.Is(err, dgferr.ErrInvalid) {
-		t.Errorf("flowless request: res=%+v err=%v", res, err)
+	// Request with no flow, and no request at all.
+	for _, req := range []*dgl.Request{dgl.NewAsyncRequest("user", "", dgl.Flow{}), nil} {
+		res, err := c.Delegate(context.Background(), Delegate{User: "user", Request: req})
+		if err == nil || res == nil || !errors.Is(err, dgferr.ErrInvalid) {
+			t.Errorf("flowless request %v: res=%+v err=%v", req, res, err)
+		}
 	}
 }
 
-func TestDelegateRefusedByOldServer(t *testing.T) {
-	e := newEngine(t, "")
-	s := NewServerConfig(e, ServerConfig{ProtoMinor: 2}) // mux yes, delegate no
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	// The client learns the server's feature level from hello and never
-	// sends the frame.
-	if c.CanDelegate() {
-		t.Fatal("CanDelegate = true against a 1.2 server")
-	}
-	flow := dgl.NewFlow("f").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
-	if _, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow)); !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("Delegate against 1.2 server = %v", err)
-	}
-}
-
-func TestDelegateOnSerialConnection(t *testing.T) {
+// TestDelegateWithoutExplicitHello delegates on a freshly dialed
+// client: the first request runs the hello exchange itself.
+func TestDelegateWithoutExplicitHello(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
 	c, err := Dial(addr)
@@ -164,10 +142,13 @@ func TestDelegateOnSerialConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// No Hello: the session never upgrades, so delegate is unavailable.
 	flow := dgl.NewFlow("f").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
-	if _, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow)); !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("Delegate without hello = %v", err)
+	res, err := c.Delegate(context.Background(), delegatePayload(t, "user", flow))
+	if err != nil || !res.OK {
+		t.Fatalf("Delegate without hello = %+v, %v", res, err)
+	}
+	if !c.Muxed() {
+		t.Fatal("session not helloed after the first request")
 	}
 }
 

@@ -117,7 +117,7 @@ func TestPeerCrashDropsConnections(t *testing.T) {
 		t.Fatalf("before crash window: %v", err)
 	}
 	clock.Advance(90 * time.Second) // into the crash window
-	if _, err := c.SubmitContext(context.Background(), dgl.NewStatusRequest("user", "x", false)); err == nil {
+	if _, err := submitReq(context.Background(), c, dgl.NewStatusRequest("user", "x", false)); err == nil {
 		t.Fatal("request survived the crash window")
 	}
 	clock.Advance(time.Minute) // the server "restarts"
@@ -137,7 +137,7 @@ func TestClientContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.SubmitContext(ctx, dgl.NewRequest("user", "",
+	_, err := submitReq(ctx, c, dgl.NewRequest("user", "",
 		dgl.NewFlow("f").Step("h", dgl.Op("hang", nil)).Flow()))
 	if !errors.Is(err, dgferr.ErrCancelled) {
 		t.Errorf("cancelled round trip = %v, want ErrCancelled", err)

@@ -1,17 +1,16 @@
 // Package wire implements the network layer of the DfMS: a framed TCP
-// protocol carrying DGL documents between clients and matrix servers,
+// protocol carrying DGL requests between clients and matrix servers,
 // plus the peer-to-peer datagridflow network with lookup servers the
 // paper describes ("Multiple DfMS servers can form a peer-to-peer
 // datagridflow network with one or more lookup servers").
 //
-// Frames are a 1-byte kind, a 4-byte big-endian length, and the payload:
-//
-//   - KindDGL carries a dataGridRequest or dataGridResponse XML document
-//     (the request-response model of the paper's Appendix A);
-//   - KindControl carries a small JSON control verb (pause, resume,
-//     cancel, restart, list, metrics) — a pragmatic extension for the
-//     long-run process management the paper requires but DGL itself
-//     does not encode.
+// A session has one shape. The client opens with a JSON hello on the
+// plain frame (a 1-byte kind and a 4-byte big-endian length); after a
+// successful reply both ends speak mux frames, which add an 8-byte
+// request id so many requests share the connection, and every mux
+// payload is a binary codec message (internal/codec). DGL XML stays at
+// the human edge — documents and dgfctl — and never crosses between
+// machines.
 //
 // The full protocol — frame layout, request/response semantics, control
 // opcodes, the lookup protocol and peer routing of execution ids — is
@@ -25,51 +24,45 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
+	"datagridflow/internal/dgl"
 	"datagridflow/internal/replica"
 	"datagridflow/internal/tenant"
 	"datagridflow/internal/vdata"
 )
 
-// Frame kinds.
-// Each kind has a legacy text payload (XML for DGL documents, JSON for
-// everything else) and, on protocol >= 1.4 sessions, a binary codec
-// payload (internal/codec, docs/CODEC.md). The receiver sniffs the
-// payload's first byte — binary starts with 0xDF, which no XML or JSON
-// document can — and mirrors the request's encoding in its reply.
+// Frame kinds. A session opens with one JSON hello on the plain 5-byte
+// frame (KindControl); every later frame is a mux frame whose payload
+// is a binary codec message (internal/codec, docs/CODEC.md).
 const (
-	// KindDGL frames carry DGL request/response documents.
+	// KindDGL frames carry a DGL request or response (codec MsgRequest /
+	// MsgResponse).
 	KindDGL byte = 1
-	// KindControl frames carry control verbs.
+	// KindControl frames carry control verbs: the opening hello as JSON,
+	// every later verb as a codec MsgControl / MsgControlResult.
 	KindControl byte = 2
-	// KindBatch frames carry a JSON batch envelope of N DGL requests
-	// (one submission round trip for many flows). Batch frames are a
-	// protocol-1.2 feature: they only appear on multiplexed sessions.
+	// KindBatch frames carry a batch envelope of N DGL requests (one
+	// submission round trip for many flows).
 	KindBatch byte = 3
-	// KindDelegate frames carry a JSON delegation envelope: one peer
-	// asks another to execute a subflow on its behalf and waits for the
-	// final status (the federation plane, docs/FEDERATION.md). A
-	// protocol-1.3 feature: clients only send it after a hello exchange
-	// in which the server advertised >= 1.3.
+	// KindDelegate frames carry a delegation envelope: one peer asks
+	// another to execute a subflow on its behalf and waits for the final
+	// status (the federation plane, docs/FEDERATION.md).
 	KindDelegate byte = 4
-	// KindRoute frames carry a JSON routing envelope: a peer that
-	// accepted a flow submission hands the whole request to the shard
-	// owner the consistent-hash ring names for it (docs/FEDERATION.md,
-	// "Sharded ownership"). The receiver is the terminal hop — it
-	// executes locally, never re-routes. A protocol-1.5 feature:
-	// clients only send it after a hello exchange in which the server
-	// advertised >= 1.5; older peers simply keep local-accept.
+	// KindRoute frames carry a routing envelope: a peer that accepted a
+	// flow submission hands the whole request to the shard owner the
+	// consistent-hash ring names for it (docs/FEDERATION.md, "Sharded
+	// ownership"). The receiver is the terminal hop — it executes
+	// locally, never re-routes.
 	KindRoute byte = 5
-	// KindReplicate frames carry a JSON replication envelope
+	// KindReplicate frames carry a replication envelope
 	// (internal/replica.Frame): a shard owner streams blocks of its
 	// lifecycle record log — or a catch-up snapshot — to a follower
 	// peer, positioned by per-record sequence numbers
 	// (docs/REPLICATION.md). The record block inside the envelope stays
 	// in the sender's store encoding (JSONL or binary frames) and the
-	// receiver sniffs it per block, so mixed-codec peers replicate to
-	// each other. A protocol-1.6 feature: senders gate on the hello
-	// reply and skip followers that advertised < 1.6, so mixed 1.5/1.6
-	// federations interoperate.
+	// receiver sniffs it per block, so mixed-codec stores replicate to
+	// each other.
 	KindReplicate byte = 6
 )
 
@@ -112,107 +105,16 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	return hdr[0], payload, nil
 }
 
-// Protocol version, negotiated by the "hello" control verb. Majors must
-// match for a session to proceed; minors are informational (additions
-// only). Minor 2 adds the multiplexed framing and batch submission: when
-// both ends of a hello exchange speak >= 1.2, the session switches to
-// mux frames immediately after the hello reply. See docs/WIRE.md,
-// "Version negotiation" and "Multiplexed framing".
+// Protocol version, exchanged by the opening hello. Majors must match
+// for a session to proceed; a minor difference is accepted. After a
+// successful hello both ends switch to mux framing with binary codec
+// payloads. See docs/WIRE.md, "Version negotiation".
 const (
-	ProtoMajor = 1
-	ProtoMinor = 8
-	// muxMinor is the minimum minor version that speaks mux framing.
-	muxMinor = 2
-	// delegateMinor is the minimum minor version that accepts
-	// KindDelegate frames (federated subflow execution).
-	delegateMinor = 3
-	// binaryMinor is the minimum minor version that accepts binary
-	// (internal/codec) payloads inside kind 1-4 frames. Negotiation is
-	// per payload, not per session: hello stays JSON in both directions,
-	// and after a >= 1.4 hello either end may send binary — the receiver
-	// sniffs each payload's first byte and mirrors the encoding in its
-	// reply, so 1.3-and-older peers transparently stay on JSON. See
-	// docs/CODEC.md and docs/WIRE.md, "Version negotiation".
-	binaryMinor = 4
-	// routeMinor is the minimum minor version that accepts KindRoute
-	// frames (sharded any-peer submission). A pre-1.5 peer never
-	// receives one: senders gate on the hello reply and fall back to
-	// local accept, so mixed 1.4/1.5 federations interoperate.
-	routeMinor = 5
-	// replMinor is the minimum minor version that accepts KindReplicate
-	// frames (lifecycle-store replication). A pre-1.6 peer never
-	// receives one: owners gate on the hello reply and skip that
-	// follower (repl_skipped_peers_total), so mixed 1.5/1.6 federations
-	// interoperate — the flows just lose a standby until the peer
-	// upgrades.
-	replMinor = 6
-	// tenantMinor is the minimum minor version that understands tenant
-	// bearer tokens (docs/TENANCY.md): a token offered during hello and
-	// carried on submit/batch/delegate/route payloads, plus the
-	// "tenants" control verb. Tokens are additive — a pre-1.7 peer
-	// never sees one (senders gate on the hello reply) and a 1.7 server
-	// admits untokened traffic under the anonymous tenant unless the
-	// operator requires auth, so mixed 1.6/1.7 federations interoperate.
-	tenantMinor = 7
-	// vdataMinor is the minimum minor version that understands the
-	// "vdata" control verb (docs/VDATA.md): fleet-wide lookup, publish
-	// and invalidation of memoized derivations, with the bearer token on
-	// each frame re-verified per tenant. A pre-1.8 peer never receives
-	// one — remote lookups gate on the hello reply and the fleet
-	// degrades to local-only memoization against that peer, so mixed
-	// 1.7/1.8 federations interoperate.
-	vdataMinor = 8
+	ProtoMajor = 2
+	ProtoMinor = 0
 )
 
-// MuxSupported reports whether a peer advertising major.minor can speak
-// the multiplexed framing (same major, minor >= 1.2).
-func MuxSupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= muxMinor
-}
-
-// DelegateSupported reports whether a peer advertising major.minor
-// accepts delegation frames (same major, minor >= 1.3). Delegation
-// rides the mux session, so a delegate-capable peer is mux-capable by
-// construction.
-func DelegateSupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= delegateMinor
-}
-
-// BinarySupported reports whether a peer advertising major.minor
-// accepts binary codec payloads (same major, minor >= 1.4).
-func BinarySupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= binaryMinor
-}
-
-// RouteSupported reports whether a peer advertising major.minor
-// accepts route frames (same major, minor >= 1.5). Routing rides the
-// mux session, so a route-capable peer is mux-capable by construction.
-func RouteSupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= routeMinor
-}
-
-// ReplicateSupported reports whether a peer advertising major.minor
-// accepts replicate frames (same major, minor >= 1.6). Replication
-// rides the mux session, so a replicate-capable peer is mux-capable by
-// construction.
-func ReplicateSupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= replMinor
-}
-
-// TenantSupported reports whether a peer advertising major.minor
-// understands tenant tokens and the "tenants" verb (same major, minor
-// >= 1.7).
-func TenantSupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= tenantMinor
-}
-
-// VdataSupported reports whether a peer advertising major.minor
-// understands the "vdata" control verb (same major, minor >= 1.8).
-func VdataSupported(major, minor int) bool {
-	return major == ProtoMajor && minor >= vdataMinor
-}
-
-// WriteMuxFrame writes one multiplexed frame: the serial header plus a
+// WriteMuxFrame writes one multiplexed frame: the plain header plus a
 // request id that correlates a response to its request, letting many
 // requests share a connection concurrently.
 //
@@ -259,12 +161,35 @@ func ProtoVersion(major, minor int) string {
 	return fmt.Sprintf("%d.%d", major, minor)
 }
 
-// ParseProtoVersion splits a "major.minor" version string.
+// ParseProtoVersion splits a "major.minor" version string. Both parts
+// must be non-empty runs of ASCII digits: no sign, space or suffix.
 func ParseProtoVersion(s string) (major, minor int, err error) {
-	if _, err := fmt.Sscanf(s, "%d.%d", &major, &minor); err != nil {
+	maj, min, ok := strings.Cut(s, ".")
+	if ok {
+		major, ok = parseDigits(maj)
+	}
+	if ok {
+		minor, ok = parseDigits(min)
+	}
+	if !ok {
 		return 0, 0, fmt.Errorf("wire: bad protocol version %q", s)
 	}
 	return major, minor, nil
+}
+
+// parseDigits parses a non-empty run of ASCII digits that fits an int.
+func parseDigits(s string) (int, bool) {
+	if s == "" || len(s) > 9 {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, true
 }
 
 // Control is the JSON payload of a KindControl frame.
@@ -275,19 +200,18 @@ type Control struct {
 	// ID is the execution id the verb applies to ("hello", "list" and
 	// "metrics" ignore it).
 	ID string `json:"id,omitempty"`
-	// Proto is the client's protocol version ("1.1") for "hello".
+	// Proto is the client's protocol version ("2.0") for "hello".
 	Proto string `json:"proto,omitempty"`
 	// Token is the tenant bearer token (docs/TENANCY.md). On "hello" it
-	// is the credential exchange: a 1.7 server verifies it and echoes
-	// the tenant identity, failing the handshake on a forged or expired
-	// token. Other verbs may carry it for per-request auth. Ignored by
-	// pre-1.7 servers (additive field).
+	// is the credential exchange: a server with a token authority
+	// verifies it and echoes the tenant identity, failing the handshake
+	// on a forged or expired token. Other verbs may carry it for
+	// per-request auth.
 	Token string `json:"token,omitempty"`
 	// Limit bounds the "tenants" verb's reply rows (0 = server default).
 	Limit int `json:"limit,omitempty"`
 	// Sub selects the "vdata" verb's sub-operation: "stats" (the
-	// default), "lookup", "publish" or "invalidate" (wire >= 1.8,
-	// docs/VDATA.md).
+	// default), "lookup", "publish" or "invalidate" (docs/VDATA.md).
 	Sub string `json:"sub,omitempty"`
 	// User is the claimed tenant identity for verbs resolved per tenant
 	// ("vdata"); with an authority attached the token must agree with it
@@ -300,7 +224,8 @@ type Control struct {
 	Data string `json:"data,omitempty"`
 }
 
-// ControlResult is the JSON reply to a control frame.
+// ControlResult is the reply to a control frame (JSON for the opening
+// hello, binary codec afterwards).
 type ControlResult struct {
 	OK bool `json:"ok"`
 	// ID echoes the execution id (the new id for restart).
@@ -328,7 +253,7 @@ type ControlResult struct {
 	// Tenants carries the tenancy summary for the "tenants" verb.
 	Tenants *TenantsInfo `json:"tenants,omitempty"`
 	// Vdata carries the virtual-data reply for the "vdata" verb
-	// (wire >= 1.8, docs/VDATA.md).
+	// (docs/VDATA.md).
 	Vdata *VdataInfo `json:"vdata,omitempty"`
 }
 
@@ -396,118 +321,92 @@ type ExecutionInfo struct {
 	User  string `json:"user"`
 }
 
-// Batch is the JSON payload of a KindBatch frame: N DGL request
-// documents submitted in one round trip. User names the submitting
-// identity for admission scheduling; each embedded request still
-// carries its own gridUser, which the engine enforces per item.
-type Batch struct {
-	User string `json:"user"`
-	// Token authenticates the submitting tenant (wire >= 1.7); absent
-	// means anonymous, rejected only when the server requires auth.
-	Token string `json:"token,omitempty"`
-	// Requests are XML dataGridRequest documents, one per item.
-	Requests []string `json:"requests"`
-}
-
-// BatchResult is the JSON reply to a batch frame. Items are answered
-// positionally and independently: a malformed or failing item yields a
-// response whose <error> element is set, never a dropped batch.
-type BatchResult struct {
-	OK bool `json:"ok"`
-	// Error reports a batch-level failure (unparsable envelope,
-	// admission rejection); per-item failures live inside Responses.
-	Error string `json:"error,omitempty"`
-	// Responses are XML dataGridResponse documents, one per request.
-	Responses []string `json:"responses,omitempty"`
-}
-
-// Delegate is the JSON payload of a KindDelegate frame: one peer hands
-// a subflow to another for execution. The receiving server validates
-// and runs the request synchronously (the frame's response carries the
+// Delegate is the envelope of a KindDelegate frame: one peer hands a
+// subflow to another for execution. The receiving server validates and
+// runs the request synchronously (the frame's response carries the
 // final status), under its own admission scheduler — a delegation
 // occupies one admission slot, like any other flow.
 type Delegate struct {
 	// User is the identity the delegated flow runs as (and the
 	// admission account it is charged to).
-	User string `json:"user"`
+	User string
 	// Token is the originating tenant's bearer token, forwarded so the
-	// federated hop preserves the authenticated identity (wire >= 1.7,
-	// docs/TENANCY.md). The receiving peer re-verifies it against its
+	// federated hop preserves the authenticated identity
+	// (docs/TENANCY.md). The receiving peer re-verifies it against its
 	// own authority (shared secret).
-	Token string `json:"token,omitempty"`
-	// Request is a complete XML dataGridRequest document carrying the
-	// subflow, with the delegating peer's parent-scope variable values
-	// already bound into the flow's variable block (late binding
-	// resolves on the delegating side; see docs/FEDERATION.md).
-	Request string `json:"request"`
+	Token string
+	// Request carries the subflow, with the delegating peer's
+	// parent-scope variable values already bound into the flow's
+	// variable block (late binding resolves on the delegating side; see
+	// docs/FEDERATION.md). It travels as codec.AppendRequest bytes.
+	Request *dgl.Request
 	// Origin names the delegating peer, for the remote server's logs
 	// and provenance.
-	Origin string `json:"origin,omitempty"`
+	Origin string
 	// ParentExec and ParentNode locate the delegating node in the
 	// origin peer's execution tree, so the two provenance trails can be
 	// joined.
-	ParentExec string `json:"parentExec,omitempty"`
-	ParentNode string `json:"parentNode,omitempty"`
+	ParentExec string
+	ParentNode string
 }
 
-// DelegateResult is the JSON reply to a delegate frame.
+// DelegateResult is the reply to a delegate frame.
 type DelegateResult struct {
-	OK bool `json:"ok"`
+	OK bool
 	// Error is the typed (dgferr-encoded) failure: either a
 	// transport/validation problem or the delegated flow's own terminal
 	// error. Status may still be set alongside it.
-	Error string `json:"error,omitempty"`
+	Error string
 	// ID is the remote execution id ("peerB:dgf-000042") — globally
 	// resolvable from any peer via status forwarding (docs/WIRE.md §3).
-	ID string `json:"id,omitempty"`
-	// Status is the final XML <flowStatus> tree of the remote run.
-	Status string `json:"status,omitempty"`
+	ID string
+	// Status is the final status tree of the remote run. It travels as
+	// the status of a codec.AppendResponse payload.
+	Status *dgl.FlowStatus
 }
 
-// Route is the JSON payload of a KindRoute frame: the accepting peer
-// hands a whole flow submission to the shard owner the ring names for
-// it. Unlike Delegate (a subtree of a running flow), a routed request
+// Route is the envelope of a KindRoute frame: the accepting peer hands
+// a whole flow submission to the shard owner the ring names for it.
+// Unlike Delegate (a subtree of a running flow), a routed request
 // becomes the receiver's own top-level execution — the receiver *is*
-// the owner, and the flow's id carries its prefix. The receiver is
-// the terminal hop: it verifies it still holds the shard's lease,
-// then executes locally and never re-routes (loop prevention).
+// the owner, and the flow's id carries its prefix. The receiver is the
+// terminal hop: it verifies it still holds the shard's lease, then
+// executes locally and never re-routes (loop prevention).
 type Route struct {
 	// User is the submitting identity the receiver's admission
 	// scheduler charges the request to.
-	User string `json:"user"`
+	User string
 	// Token is the submitting tenant's bearer token, forwarded so the
-	// shard-owner hop preserves the authenticated identity (wire >=
-	// 1.7, docs/TENANCY.md).
-	Token string `json:"token,omitempty"`
-	// Request is the complete XML dataGridRequest document. Route
-	// envelopes always ride JSON/XML — they are peer control traffic,
-	// off the client hot path the binary codec serves.
-	Request string `json:"request"`
+	// shard-owner hop preserves the authenticated identity
+	// (docs/TENANCY.md).
+	Token string
+	// Request is the submission, carried as codec.AppendRequest bytes.
+	Request *dgl.Request
 	// Shard is the shard index the routing peer mapped the submission
 	// to; the receiver refuses (NotOwner) if it no longer holds its
 	// lease — the drain/claim exclusivity check.
-	Shard int `json:"shard"`
+	Shard int
 	// Origin names the routing peer, for logs and metrics.
-	Origin string `json:"origin,omitempty"`
+	Origin string
 }
 
-// RouteResult is the JSON reply to a route frame.
+// RouteResult is the reply to a route frame.
 type RouteResult struct {
-	OK bool `json:"ok"`
+	OK bool
 	// Error is the typed (dgferr-encoded) failure — transport-level,
 	// ownership refusal, or the flow's own synchronous failure.
-	Error string `json:"error,omitempty"`
+	Error string
 	// NotOwner reports an ownership refusal: the receiver does not
 	// hold the shard's lease (drained or lost between the routing
 	// decision and arrival). The sender refreshes its owner map and
 	// re-places the flow.
-	NotOwner bool `json:"notOwner,omitempty"`
+	NotOwner bool
 	// Owner is the receiver's current view of the shard's holder, a
 	// redirect hint alongside NotOwner.
-	Owner string `json:"owner,omitempty"`
-	// Response is the XML dataGridResponse of the executed submission
-	// (ack for async, final status for sync).
-	Response string `json:"response,omitempty"`
+	Owner string
+	// Response is the executed submission's reply (ack for async, final
+	// status for sync), carried as codec.AppendResponse bytes.
+	Response *dgl.Response
 }
 
 // OwnerInfo is the reply to the "owner" control verb: where a flow id
@@ -531,10 +430,8 @@ type OwnerInfo struct {
 // Replicate is the payload of a KindReplicate frame and
 // ReplicateResult its reply — the replication envelope and ack defined
 // by internal/replica and specified byte-for-byte in docs/WIRE.md
-// §"Replicate frames". The envelope rides binary when the session
-// negotiated it (>= 1.4) and JSON otherwise; the record block inside
-// keeps the sender's store encoding either way, never transcoded in
-// flight.
+// §"Replicate frames". The record block inside the binary envelope
+// keeps the sender's store encoding, never transcoded in flight.
 type (
 	Replicate       = replica.Frame
 	ReplicateResult = replica.Ack

@@ -22,6 +22,40 @@ func noopFlow(name string) dgl.Flow {
 	return dgl.NewFlow(name).Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
 }
 
+// submitAsync submits flow asynchronously and returns the acknowledged
+// execution id, decoding a refused submission into its typed error.
+func submitAsync(c *Client, user string, flow dgl.Flow) (string, error) {
+	res, err := c.Submit(context.Background(), dgl.NewRequest(user, "", flow), WithAsync())
+	if err != nil {
+		return "", err
+	}
+	if err := res.Err(); err != nil {
+		return "", err
+	}
+	if res.ID == "" {
+		return "", errors.New("missing acknowledgement")
+	}
+	return res.ID, nil
+}
+
+// submitReq sends one request under ctx and returns its response.
+func submitReq(ctx context.Context, c *Client, req *dgl.Request) (*dgl.Response, error) {
+	res, err := c.Submit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return res.Response, nil
+}
+
+// submitBatch sends reqs in one batch frame accounted to user.
+func submitBatch(ctx context.Context, c *Client, user string, reqs []*dgl.Request) ([]*dgl.Response, error) {
+	res, err := c.Submit(ctx, nil, WithBatch(reqs...), WithUser(user))
+	if err != nil {
+		return nil, err
+	}
+	return res.Responses, nil
+}
+
 // newRealClockEngine builds an engine whose sleep op blocks in real
 // time — the default test grid runs a virtual clock, under which
 // OpSleep returns instantly and cannot hold requests in flight.
@@ -45,7 +79,7 @@ func sleepFlow(name, dur string) dgl.Flow {
 		Step("z", dgl.Op(dgl.OpSleep, map[string]string{"duration": dur})).Flow()
 }
 
-// dialMux connects and negotiates the multiplexed protocol.
+// dialMux connects and runs the hello exchange.
 func dialMux(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr)
@@ -80,16 +114,16 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloUpgradesToMux negotiates 1.2 and exercises requests over the
-// multiplexed session, including many concurrent submitters on one
-// connection.
+// TestHelloUpgradesToMux runs the hello exchange and exercises requests
+// over the multiplexed session, including many concurrent submitters on
+// one connection.
 func TestHelloUpgradesToMux(t *testing.T) {
 	e := newEngine(t, "")
 	_, addr := startServer(t, e)
 	c := dialMux(t, addr)
 
 	// Sequential requests still work after the upgrade.
-	id, err := c.SubmitAsync("user", noopFlow("one"))
+	id, err := submitAsync(c, "user", noopFlow("one"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +141,7 @@ func TestHelloUpgradesToMux(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.SubmitAsyncContext(context.Background(), "user", noopFlow(fmt.Sprintf("f%d", i))); err != nil {
+			if _, err := submitAsync(c, "user", noopFlow(fmt.Sprintf("f%d", i))); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -116,83 +150,6 @@ func TestHelloUpgradesToMux(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatalf("pipelined submit: %v", err)
-	}
-}
-
-// TestNewClientOldServerFallsBack pins the server to the serial
-// protocol: the 1.2 client's hello succeeds, the session stays serial,
-// and every API — including SubmitBatch via its sequential fallback —
-// still works.
-func TestNewClientOldServerFallsBack(t *testing.T) {
-	e := newEngine(t, "")
-	s := NewServerConfig(e, ServerConfig{SerialOnly: true})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	proto, err := c.Hello()
-	if err != nil {
-		t.Fatalf("hello against serial server: %v", err)
-	}
-	if proto != "1.1" {
-		t.Fatalf("serial server proto = %s, want 1.1", proto)
-	}
-	if c.Muxed() {
-		t.Fatal("client upgraded against a serial-only server")
-	}
-	if _, err := c.SubmitAsync("user", noopFlow("serial")); err != nil {
-		t.Fatalf("serial submit after fallback: %v", err)
-	}
-	// Batch falls back to one round trip per item.
-	reqs := []*dgl.Request{
-		dgl.NewAsyncRequest("user", "", noopFlow("b0")),
-		dgl.NewAsyncRequest("user", "", noopFlow("b1")),
-	}
-	resps, err := c.SubmitBatch(context.Background(), "user", reqs)
-	if err != nil {
-		t.Fatalf("batch fallback: %v", err)
-	}
-	if len(resps) != 2 || resps[0].Ack == nil || resps[1].Ack == nil {
-		t.Fatalf("batch fallback responses = %+v", resps)
-	}
-}
-
-// TestOldClientNewServerStaysSerial drives the server with raw serial
-// frames and no hello — the pre-1.2 client behaviour — and checks the
-// 1.2 server answers serially.
-func TestOldClientNewServerStaysSerial(t *testing.T) {
-	e := newEngine(t, "")
-	_, addr := startServer(t, e)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// No Hello: the session must stay serial.
-	for i := 0; i < 3; i++ {
-		if _, err := c.SubmitAsync("user", noopFlow(fmt.Sprintf("old%d", i))); err != nil {
-			t.Fatalf("serial submit %d: %v", i, err)
-		}
-	}
-	// A 1.1 hello must not upgrade the session either.
-	res, err := c.controlMsg(context.Background(), Control{Op: "hello", Proto: "1.1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Proto != ProtoVersion(ProtoMajor, ProtoMinor) {
-		t.Fatalf("server proto = %s", res.Proto)
-	}
-	if c.Muxed() {
-		t.Fatal("1.1 hello upgraded the session")
-	}
-	if _, err := c.List(); err != nil {
-		t.Fatalf("serial list after 1.1 hello: %v", err)
 	}
 }
 
@@ -222,7 +179,7 @@ func TestMuxConnDropFailsInflight(t *testing.T) {
 		go func(i int) {
 			// Synchronous submits so requests are held in flight.
 			flow := sleepFlow(fmt.Sprintf("w%d", i), "600ms")
-			_, err := c.SubmitContext(context.Background(), dgl.NewRequest("user", "", flow))
+			_, err := submitReq(context.Background(), c, dgl.NewRequest("user", "", flow))
 			errs <- err
 		}(i)
 	}
@@ -260,7 +217,7 @@ func TestBatchSubmit(t *testing.T) {
 		Step("x", dgl.Op("no-such-op", nil)).Flow())
 	good1 := dgl.NewAsyncRequest("user", "", noopFlow("g1"))
 
-	resps, err := c.SubmitBatch(context.Background(), "user", []*dgl.Request{good0, bad, good1})
+	resps, err := submitBatch(context.Background(), c, "user", []*dgl.Request{good0, bad, good1})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -315,7 +272,8 @@ func TestSetTimeoutRace(t *testing.T) {
 			}
 		}()
 	}
-	// Serial-mode clients race the same way.
+	// A client that never called Hello races the same way: its first
+	// request runs the exchange.
 	cs, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +285,7 @@ func TestSetTimeoutRace(t *testing.T) {
 		for j := 0; j < 25; j++ {
 			cs.SetTimeout(time.Duration(j%3) * time.Second)
 			if _, err := cs.List(); err != nil {
-				t.Errorf("serial list under SetTimeout churn: %v", err)
+				t.Errorf("list without hello under SetTimeout churn: %v", err)
 				return
 			}
 		}
@@ -347,7 +305,7 @@ func TestMuxRequestContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.SubmitContext(ctx, dgl.NewRequest("user", "", sleepFlow("slow", "1s")))
+		_, err := submitReq(ctx, c, dgl.NewRequest("user", "", sleepFlow("slow", "1s")))
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -361,7 +319,7 @@ func TestMuxRequestContextCancel(t *testing.T) {
 		t.Fatal("cancelled request did not return")
 	}
 	// The connection is still healthy for other requests.
-	if _, err := c.SubmitAsync("user", noopFlow("after")); err != nil {
+	if _, err := submitAsync(c, "user", noopFlow("after")); err != nil {
 		t.Fatalf("request after cancel: %v", err)
 	}
 }
@@ -382,7 +340,7 @@ func TestAdmissionRejectionOverWire(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		go func(i int) {
 			req := dgl.NewRequest("user", "", sleepFlow(fmt.Sprintf("s%d", i), "600ms"))
-			resp, err := c.SubmitContext(context.Background(), req)
+			resp, err := submitReq(context.Background(), c, req)
 			if err == nil && resp.Error != "" {
 				err = dgferr.Decode(resp.Error)
 			}

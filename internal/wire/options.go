@@ -54,8 +54,7 @@ func WithRoute(mode RouteMode) SubmitOption {
 
 // WithBatch adds more requests to the call: the primary request (when
 // non-nil) and every batched one travel in a single KindBatch round
-// trip on a multiplexed session (sequential submission against serial
-// servers), answered positionally in SubmitResult.Responses.
+// trip, answered positionally in SubmitResult.Responses.
 // WithBatch() with no arguments still selects the batch reply shape
 // for a single request.
 func WithBatch(reqs ...*dgl.Request) SubmitOption {
@@ -67,10 +66,10 @@ func WithBatch(reqs ...*dgl.Request) SubmitOption {
 
 // WithToken attaches a tenant bearer token (tenant.Authority.Mint,
 // docs/TENANCY.md) to every request of the call. On a tenancy-enabled
-// 1.7 server the verified token identity — not the claimed gridUser —
-// is what admission scheduling, quotas and provenance account the work
+// server the verified token identity — not the claimed gridUser — is
+// what admission scheduling, quotas and provenance account the work
 // to; it overrides any session-level Client.SetToken for this call.
-// Pre-1.7 servers skip the token and account the caller as anonymous.
+// Servers without a token authority ignore it.
 func WithToken(tok string) SubmitOption {
 	return func(c *submitCfg) { c.token = tok }
 }
@@ -79,8 +78,7 @@ func WithToken(tok string) SubmitOption {
 // (defaults to the first request's gridUser). On tenancy-enabled
 // servers the claim must match the token's tenant — WithUser is the
 // unauthenticated thin sibling of WithToken, kept for untenanted
-// deployments and source compatibility (docs/WIRE.md, "Migrating from
-// WithUser to WithToken").
+// deployments (docs/WIRE.md, "WithUser and WithToken").
 func WithUser(name string) SubmitOption {
 	return func(c *submitCfg) { c.user = name }
 }
@@ -107,9 +105,7 @@ type SubmitResult struct {
 //	res, err := c.Submit(ctx, req, wire.WithBatch(r2, r3))  // one round trip
 //	res, err := c.Submit(ctx, req, wire.WithRoute(wire.RouteLocal))
 //
-// Requests are never mutated: options apply to shallow copies. The
-// older entry points (SubmitContext, SubmitAsync, SubmitBatch, ...)
-// remain as thin deprecated wrappers over this method's machinery.
+// Requests are never mutated: options apply to shallow copies.
 func (c *Client) Submit(ctx context.Context, req *dgl.Request, opts ...SubmitOption) (*SubmitResult, error) {
 	var cfg submitCfg
 	for _, o := range opts {

@@ -658,7 +658,7 @@ func NewPeer(name string, engine *matrix.Engine) *Peer {
 }
 
 // NewPeerConfig is NewPeer with explicit wire-server tuning (admission
-// pool size, queue bounds, protocol pinning).
+// pool size, queue bounds, delegation grace).
 func NewPeerConfig(name string, engine *matrix.Engine, cfg ServerConfig) *Peer {
 	return &Peer{Name: name, server: NewServerConfig(engine, cfg), clients: make(map[string]*Client)}
 }
@@ -673,7 +673,7 @@ func (p *Peer) SetLookupToken(tok string) { p.lookupToken = tok }
 // fleet-wide memoization plane (docs/VDATA.md): the engine consults the
 // catalog before running pure steps, every publish announces its key to
 // the lookup registry, and local misses probe the announced holder over
-// the wire (1.8's vdata verb; older holders degrade to local-only).
+// the wire (the vdata verb).
 // Call before Start.
 func (p *Peer) EnableVdata(cat *vdata.Catalog) {
 	p.vcat = cat
@@ -715,8 +715,8 @@ func (p *Peer) announceVdata(key string) {
 
 // vdataRemote is the engine's remote-lookup hook: locate the announced
 // holder through the registry, then fetch the entry over the wire. Any
-// failure — no holder, a 1.7 holder without the vdata verb, a token the
-// holder refuses — reports a miss and the step simply executes.
+// failure — no holder, a holder without a catalog, a token the holder
+// refuses — reports a miss and the step simply executes.
 func (p *Peer) vdataRemote(tenantID, key string) (vdata.Entry, bool) {
 	if p.lookup == nil {
 		return vdata.Entry{}, false
@@ -727,11 +727,6 @@ func (p *Peer) vdataRemote(tenantID, key string) (vdata.Entry, bool) {
 	}
 	c, err := p.clientFor(holder)
 	if err != nil {
-		return vdata.Entry{}, false
-	}
-	if !c.CanVdata() {
-		// Pre-1.8 holder: it memoizes locally but cannot serve lookups —
-		// the interop degradation documented in docs/VDATA.md.
 		return vdata.Entry{}, false
 	}
 	info, err := c.vdataMsg(Control{Sub: "lookup", User: tenantID, Key: key, Token: p.vdataToken})
@@ -950,9 +945,8 @@ func (p *Peer) clientFor(name string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Negotiate up front: peer links upgrade to mux when both ends speak
-	// >= 1.2, and the hello reply records the remote's feature level for
-	// the delegation gate (Client.CanDelegate).
+	// Run the hello exchange up front, so a refused peer fails here
+	// rather than on its first forwarded request.
 	if _, err := c.Hello(); err != nil {
 		c.Close()
 		return nil, err

@@ -238,13 +238,13 @@ func TestPeerHeartbeatAndDropClient(t *testing.T) {
 	if len(infos) != 2 {
 		t.Fatalf("gossip = %+v", infos)
 	}
-	// The pooled client negotiates hello, so its feature level is known.
+	// The pooled client has completed the hello exchange.
 	c, err := peerA.Client("hbB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.CanDelegate() {
-		t.Error("peer link did not negotiate delegate support")
+	if !c.Muxed() {
+		t.Error("peer link did not complete the hello exchange")
 	}
 	again, err := peerA.Client("hbB")
 	if err != nil || again != c {

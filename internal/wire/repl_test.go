@@ -10,11 +10,12 @@ import (
 	"datagridflow/internal/store"
 )
 
-// startReplPeer builds a replicating peer: fresh engine with a store,
-// replication enabled before Start, registered with the lookup.
+// startReplPeer builds a replicating peer: fresh engine (own metrics
+// registry) with a store, replication enabled before Start, registered
+// with the lookup.
 func startReplPeer(t *testing.T, lookupAddr, name string, mode replica.AckMode, cfg ServerConfig) *Peer {
 	t.Helper()
-	e := newEngine(t, name+":")
+	e, _ := newObservedEngine(t, name+":")
 	attachStore(t, e)
 	p := NewPeerConfig(name, e, cfg)
 	if err := p.EnableReplication(ReplicationConfig{
@@ -88,9 +89,6 @@ func TestReplicationStreamPromoteAdopt(t *testing.T) {
 	if _, err := ca.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	if !ca.CanReplicate() {
-		t.Fatal("1.6 session refuses replicate frames")
-	}
 	info, err := ca.Repl()
 	if err != nil {
 		t.Fatal(err)
@@ -148,30 +146,20 @@ func TestReplicationStreamPromoteAdopt(t *testing.T) {
 }
 
 // TestReplicateClientRoundTrip drives kind-6 frames through a raw
-// client against a replicating server — the binary envelope on a 1.6
-// session, and the sniffed JSON fallback on a client pinned to text.
-// The two sessions hit the same server and advance the same cursor:
-// encoding is a per-session transport choice, not protocol state.
+// client against a replicating server over two sessions. The sessions
+// hit the same server and advance the same cursor: the stream position
+// is protocol state of the source, not of a connection.
 func TestReplicateClientRoundTrip(t *testing.T) {
 	_, lookupAddr := startLookup(t)
 	b := startReplPeer(t, lookupAddr, "peerB", replica.ModeQuorum, ServerConfig{})
-	dial := func(binary bool) *Client {
+	dial := func() *Client {
 		c, err := Dial(b.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		if !binary {
-			c.DisableBinary()
-		}
 		if _, err := c.Hello(); err != nil {
 			t.Fatal(err)
-		}
-		if !c.CanReplicate() {
-			t.Fatal("1.6 session refuses replicate frames")
-		}
-		if c.Binary() != binary {
-			t.Fatalf("binary negotiation: got %v, want %v", c.Binary(), binary)
 		}
 		return c
 	}
@@ -182,71 +170,38 @@ func TestReplicateClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bin := dial(true)
-	res, err := bin.Replicate(context.Background(), Replicate{
+	first := dial()
+	res, err := first.Replicate(context.Background(), Replicate{
 		Op: replica.OpAppend, Source: "peerX", Seq: 1, Count: 1, Block: block,
 	})
 	if err != nil || !res.OK || res.AckSeq != 1 {
-		t.Fatalf("binary replicate: %v %+v", err, res)
+		t.Fatalf("replicate: %v %+v", err, res)
 	}
-	// A gap travels the binary reply path too.
-	res, err = bin.Replicate(context.Background(), Replicate{
+	// A gap travels the reply path too.
+	res, err = first.Replicate(context.Background(), Replicate{
 		Op: replica.OpAppend, Source: "peerX", Seq: 9, Count: 1, Block: block,
 	})
 	if err != nil || res.OK || !res.NeedSnapshot {
-		t.Fatalf("binary gap ack: %v %+v", err, res)
+		t.Fatalf("gap ack: %v %+v", err, res)
 	}
 
-	// The text session continues the same stream where binary left off.
-	txt := dial(false)
-	endBlock, err := replica.EncodeBlock([]store.Record{{Type: store.TypeExecEnd, ID: "x"}}, false)
+	// A second session continues the same stream where the first left
+	// off, with a binary-encoded record block this time.
+	second := dial()
+	endBlock, err := replica.EncodeBlock([]store.Record{{Type: store.TypeExecEnd, ID: "x"}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = txt.Replicate(context.Background(), Replicate{
+	res, err = second.Replicate(context.Background(), Replicate{
 		Op: replica.OpAppend, Source: "peerX", Seq: 2, Count: 1, Block: endBlock,
 	})
 	if err != nil || !res.OK || res.AckSeq != 2 {
-		t.Fatalf("json replicate: %v %+v", err, res)
+		t.Fatalf("second-session replicate: %v %+v", err, res)
 	}
-	// Error replies stay typed across both encodings.
-	if _, err := bin.Replicate(context.Background(), Replicate{
+	// Error replies stay typed.
+	if _, err := first.Replicate(context.Background(), Replicate{
 		Op: "bogus", Source: "peerX", Seq: 3,
 	}); err == nil {
 		t.Fatal("bogus op acked")
-	}
-}
-
-// TestReplicatePre16FallbackSkipsPeer pins the follower to wire 1.5:
-// the owner's frames are skipped with a vacuous ack
-// (repl_skipped_peers_total) so the federation keeps flowing — that
-// follower simply provides no protection until it upgrades.
-func TestReplicatePre16FallbackSkipsPeer(t *testing.T) {
-	_, lookupAddr := startLookup(t)
-	a := startReplPeer(t, lookupAddr, "peerA", replica.ModeQuorum, ServerConfig{})
-	old := startReplPeer(t, lookupAddr, "peerOld", replica.ModeQuorum, ServerConfig{ProtoMinor: 5})
-	_ = old
-	a.refreshReplication([]string{"peerA", "peerOld"})
-
-	ea := a.server.Engine()
-	resp, err := ea.Submit(dgl.NewRequest("user", "", dgl.NewFlow("quick").
-		Step("only", dgl.Op(dgl.OpNoop, nil)).Flow()))
-	if err != nil || resp.Error != "" {
-		t.Fatalf("submit against a pre-1.6 follower: %v %+v", err, resp)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ea.Obs().Counter("repl_skipped_peers_total", "peer", "peerOld").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pre-1.6 follower was never skipped")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// The vacuous ack keeps the owner's cursor view moving: the
-	// follower reads as caught up even though it holds nothing.
-	seq := ea.Store().ReplSeq()
-	for _, f := range a.replSender.Status() {
-		if f.Peer == "peerOld" && f.AckedSeq < seq {
-			t.Fatalf("skipped peer acked %d < %d", f.AckedSeq, seq)
-		}
 	}
 }

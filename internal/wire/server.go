@@ -23,7 +23,8 @@ import (
 
 // Frame header overheads counted by the byte metrics.
 const (
-	// frameHeaderLen is the serial header (1-byte kind + 4-byte length).
+	// frameHeaderLen is the plain header of the hello frame (1-byte kind
+	// + 4-byte length).
 	frameHeaderLen = 5
 	// muxHeaderLen adds the 8-byte request id of mux framing.
 	muxHeaderLen = 13
@@ -66,16 +67,6 @@ type ServerConfig struct {
 	// requests past it are rejected with a capacity-class error.
 	// Default 256.
 	MaxUserQueue int
-	// SerialOnly pins the server to the pre-1.2 serial protocol: it
-	// advertises 1.1 in hello replies and never upgrades a session to
-	// mux framing. A compatibility and testing knob.
-	SerialOnly bool
-	// ProtoMinor pins the minor version the server advertises (and its
-	// feature gate: a server advertising < 1.3 refuses delegate
-	// frames). 0 or out-of-range means the current ProtoMinor;
-	// SerialOnly overrides to 1.1. A compatibility and interop-testing
-	// knob — mixed-version federations rely on it.
-	ProtoMinor int
 	// DelegateGrace bounds how long a cancelled delegation (client gone
 	// or server closing) waits for its execution to unwind before the
 	// handler returns — the deterministic-shutdown budget for in-flight
@@ -83,10 +74,9 @@ type ServerConfig struct {
 	DelegateGrace time.Duration
 }
 
-// Server exposes a matrix engine over the framed TCP protocol. Serial
-// (pre-1.2) sessions handle frames strictly in order, one at a time.
-// Sessions negotiated to >= 1.2 via hello switch to multiplexed
-// framing: frames carry request ids, the server dispatches each to a
+// Server exposes a matrix engine over the framed TCP protocol. A
+// connection first completes the hello exchange on the plain framing;
+// afterwards frames carry request ids, the server dispatches each to a
 // bounded worker pool behind a per-user fair admission scheduler
 // (internal/scheduler.Admission), and responses are written as they
 // complete, in any order.
@@ -119,7 +109,7 @@ type Server struct {
 	// Tenancy plane (docs/TENANCY.md), attached before Listen via
 	// SetTenancy: auth verifies bearer tokens, tenants holds quotas and
 	// scheduling weights, requireAuth rejects untokened submissions.
-	// All nil/false means tenancy off — behaviour identical to pre-1.7.
+	// All nil/false means tenancy off.
 	auth        *tenant.Authority
 	tenants     *tenant.Registry
 	requireAuth bool
@@ -145,9 +135,6 @@ func NewServerConfig(engine *matrix.Engine, cfg ServerConfig) *Server {
 	}
 	if cfg.MaxUserQueue <= 0 {
 		cfg.MaxUserQueue = 256
-	}
-	if cfg.ProtoMinor <= 0 || cfg.ProtoMinor > ProtoMinor {
-		cfg.ProtoMinor = ProtoMinor
 	}
 	if cfg.DelegateGrace <= 0 {
 		cfg.DelegateGrace = 3 * time.Second
@@ -220,20 +207,6 @@ func (s *Server) resolveTenant(token, user string) (string, error) {
 // Admission returns the server's admission scheduler.
 func (s *Server) Admission() *scheduler.Admission { return s.adm }
 
-// minor returns the minor version the server advertises — its feature
-// level for negotiation and the delegate-frame gate.
-func (s *Server) minor() int {
-	if s.cfg.SerialOnly {
-		return 1
-	}
-	return s.cfg.ProtoMinor
-}
-
-// proto returns the version the server advertises in hello replies.
-func (s *Server) proto() string {
-	return ProtoVersion(ProtoMajor, s.minor())
-}
-
 // SetFault attaches a fault-injection plan to this server under the
 // given target name: PeerCrash and ConnDrop events against that target
 // sever connections mid-session (a simulated matrixd crash), Latency
@@ -304,9 +277,8 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// serveConn runs the serial (pre-1.2) protocol loop for one connection:
-// frames are handled strictly in order, one at a time. A hello exchange
-// negotiating >= 1.2 hands the connection over to serveMux.
+// serveConn serves one connection: the hello exchange on the plain
+// framing, then the mux loop.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	o := s.engine.Obs()
@@ -319,60 +291,65 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	remote := conn.RemoteAddr().String()
+	if !s.handshake(conn, remote) {
+		return
+	}
 	// ctx covers admission waits on this connection; cancelled when the
 	// serve loop exits (connection gone or server closing).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	remote := conn.RemoteAddr().String()
+	s.serveMux(ctx, conn, remote)
+}
+
+// handshake answers hello frames on the plain framing until one
+// succeeds, reporting whether the session may proceed to mux framing.
+// A refused hello (major mismatch, bad version, bad token) is answered
+// and the connection waits for another; any other frame severs it.
+func (s *Server) handshake(conn net.Conn, remote string) bool {
+	o := s.engine.Obs()
 	for {
 		kind, payload, err := ReadFrame(conn)
 		if err != nil {
-			return // EOF or broken connection
+			return false // EOF or broken connection
 		}
 		k := kindName(kind)
 		o.Counter("wire_frames_in_total", "kind", k).Inc()
 		o.Counter("wire_bytes_in_total").Add(int64(len(payload)) + frameHeaderLen)
 		if s.connFault() {
-			return // injected crash/drop: sever without a response
+			return false // injected crash/drop: sever without a response
+		}
+		var c Control
+		if kind != KindControl || json.Unmarshal(payload, &c) != nil || c.Op != "hello" {
+			o.Point("request", k, remote, map[string]string{"outcome": "protocol-violation"})
+			return false
 		}
 		started := s.engine.Clock().Now()
 		o.StartSpan("request", k, remote, nil)
-		if kind != KindDGL && kind != KindControl && kind != KindBatch && kind != KindDelegate && kind != KindRoute && kind != KindReplicate {
-			o.EndSpan("request", k, remote, map[string]string{"outcome": "protocol-violation"})
-			return // protocol violation
-		}
-		data, enc, upgrade, err := s.handleFrame(ctx, kind, payload, false)
+		res := s.serveHello(c)
+		data, err := json.Marshal(res)
 		if err != nil {
-			if enc != nil {
-				codec.PutEncoder(enc)
-			}
 			o.EndSpan("request", k, remote, map[string]string{"outcome": "encode-error"})
-			return
+			return false
 		}
 		o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
 		o.EndSpan("request", k, remote, map[string]string{"outcome": "ok"})
-		werr := WriteFrame(conn, kind, data)
-		if enc != nil {
-			codec.PutEncoder(enc)
-		}
-		if werr != nil {
-			return
+		if err := WriteFrame(conn, KindControl, data); err != nil {
+			return false
 		}
 		o.Counter("wire_frames_out_total", "kind", k).Inc()
 		o.Counter("wire_bytes_out_total").Add(int64(len(data)) + frameHeaderLen)
-		if upgrade {
-			// The hello reply above committed both ends to mux framing.
-			s.serveMux(ctx, conn, remote)
-			return
+		if res.OK {
+			return true
 		}
 	}
 }
 
-// serveMux runs the multiplexed (>= 1.2) protocol loop: each frame is
-// dispatched to its own handler goroutine — bounded per connection by
-// muxConnWindow and globally by the admission scheduler — and responses
-// are written under a shared lock as they complete, correlated by
-// request id.
+// serveMux runs the mux loop: each frame is dispatched to its own
+// handler goroutine — bounded per connection by muxConnWindow and
+// globally by the admission scheduler — and responses are written
+// under a shared lock as they complete, correlated by request id. A
+// frame of unknown kind severs the connection.
 func (s *Server) serveMux(ctx context.Context, conn net.Conn, remote string) {
 	o := s.engine.Obs()
 	var writeMu sync.Mutex
@@ -388,9 +365,9 @@ func (s *Server) serveMux(ctx context.Context, conn net.Conn, remote string) {
 		if s.connFault() {
 			return // injected crash/drop: sever without a response
 		}
-		if kind != KindDGL && kind != KindControl && kind != KindBatch && kind != KindDelegate && kind != KindRoute && kind != KindReplicate {
-			o.EndSpan("request", k, remote, map[string]string{"outcome": "protocol-violation"})
-			return // protocol violation: sever, as in serial mode
+		if kind < KindDGL || kind > KindReplicate {
+			o.Point("request", k, remote, map[string]string{"outcome": "protocol-violation"})
+			return
 		}
 		window <- struct{}{} // per-connection backpressure
 		s.wg.Add(1)
@@ -408,23 +385,15 @@ func (s *Server) handleMuxFrame(ctx context.Context, conn net.Conn, writeMu *syn
 	k := kindName(kind)
 	started := s.engine.Clock().Now()
 	o.StartSpan("request", k, remote, nil)
-	data, enc, _, err := s.handleFrame(ctx, kind, payload, true) // no re-upgrade on a muxed session
-	if err != nil {
-		if enc != nil {
-			codec.PutEncoder(enc)
-		}
-		o.EndSpan("request", k, remote, map[string]string{"outcome": "encode-error"})
-		conn.Close() // mirror serial behaviour: an unmarshalable response severs
-		return
-	}
+	enc := s.handleFrame(ctx, kind, payload)
+	defer codec.PutEncoder(enc)
+	data := enc.Bytes()
+	o.Counter("codec_encode_bytes_total").Add(int64(len(data)))
 	o.Histogram("wire_request_seconds", "type", k).Observe(s.engine.Clock().Now().Sub(started).Seconds())
 	o.EndSpan("request", k, remote, map[string]string{"outcome": "ok"})
 	writeMu.Lock()
-	err = WriteMuxFrame(conn, kind, id, data)
+	err := WriteMuxFrame(conn, kind, id, data)
 	writeMu.Unlock()
-	if enc != nil {
-		codec.PutEncoder(enc)
-	}
 	if err != nil {
 		return // connection gone; the read loop will notice too
 	}
@@ -432,112 +401,49 @@ func (s *Server) handleMuxFrame(ctx context.Context, conn net.Conn, writeMu *syn
 	o.Counter("wire_bytes_out_total").Add(int64(len(data)) + muxHeaderLen)
 }
 
-// binaryOK reports whether this server's advertised version admits
-// binary payloads (>= 1.4).
-func (s *Server) binaryOK() bool { return s.minor() >= binaryMinor }
-
-// handleFrame services one frame payload — shared by the serial loop
-// and the mux dispatcher. The response mirrors the request's encoding:
-// a binary payload gets a binary reply, a legacy payload gets XML/JSON.
-// When enc is non-nil, data aliases its buffer and the caller must
-// codec.PutEncoder(enc) after writing (or on error). muxed suppresses
-// the hello upgrade, which is meaningless on an already-muxed session.
-func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte, muxed bool) (data []byte, enc *codec.Encoder, upgrade bool, err error) {
-	o := s.engine.Obs()
-	bin := codec.IsBinary(payload)
-	if bin && !s.binaryOK() {
-		// Binary frames against a pre-1.4 server are a negotiation bug,
-		// not grounds to sever: answer with a protocol-class error in the
-		// legacy encoding, which every client can read (responses are
-		// sniffed, never assumed).
-		perr := dgferr.Encode(fmt.Errorf(
-			"%w: binary payloads need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, binaryMinor), s.proto()))
-		switch kind {
-		case KindDGL:
-			data, err = dgl.Marshal(&dgl.Response{Error: perr})
-		case KindControl:
-			data, err = json.Marshal(ControlResult{Error: perr})
-		case KindBatch:
-			data, err = json.Marshal(BatchResult{Error: perr})
-		case KindDelegate:
-			data, err = json.Marshal(DelegateResult{Error: perr})
-		case KindRoute:
-			data, err = json.Marshal(RouteResult{Error: perr})
-		case KindReplicate:
-			data, err = json.Marshal(ReplicateResult{Error: perr})
-		}
-		return data, nil, false, err
-	}
-	if !bin && s.binaryOK() && kind != KindControl {
-		// A legacy payload on a binary-capable server: a pre-1.4 peer, or
-		// a client pinned to the text encoding. Control frames don't
-		// count — hello negotiation always rides JSON.
-		o.Counter("codec_fallback_total", "kind", kindName(kind)).Inc()
-	}
+// handleFrame services one frame payload of a known kind and returns
+// its encoded reply in a pooled encoder, which the caller puts back
+// after writing. The encoder is taken only once the reply is known, so
+// a long-running request does not hold one. A payload that does not
+// decode gets an invalid-class error reply of the frame's kind.
+func (s *Server) handleFrame(ctx context.Context, kind byte, payload []byte) *codec.Encoder {
 	switch kind {
 	case KindDGL:
 		resp := s.serveDGL(ctx, payload)
-		if bin {
-			enc = codec.GetEncoder()
-			codec.AppendResponse(enc, resp)
-			data = enc.Bytes()
-		} else {
-			data, err = dgl.Marshal(resp)
-		}
+		enc := codec.GetEncoder()
+		codec.AppendResponse(enc, resp)
+		return enc
 	case KindControl:
-		var res ControlResult
-		res, upgrade = s.serveControl(payload)
-		if muxed {
-			upgrade = false
-		}
-		if bin {
-			enc = codec.GetEncoder()
-			appendControlResult(enc, &res)
-			data = enc.Bytes()
-		} else {
-			data, err = json.Marshal(res)
-		}
+		res := s.serveControl(payload)
+		enc := codec.GetEncoder()
+		appendControlResult(enc, &res)
+		return enc
 	case KindBatch:
-		data, enc, err = s.serveBatch(ctx, payload)
+		ok, errText, out := s.serveBatch(ctx, payload)
+		enc := codec.GetEncoder()
+		appendBatchResult(enc, ok, errText, out)
+		return enc
 	case KindDelegate:
 		res := s.serveDelegate(ctx, payload)
-		if bin {
-			enc = codec.GetEncoder()
-			appendDelegateResult(enc, &res)
-			data = enc.Bytes()
-		} else {
-			data, err = json.Marshal(res)
-		}
+		enc := codec.GetEncoder()
+		appendDelegateResult(enc, &res)
+		return enc
 	case KindRoute:
-		// Route envelopes always ride JSON (the hot payload is the
-		// embedded request document, which keeps its own encoding).
 		res := s.serveRoute(ctx, payload)
-		data, err = json.Marshal(res)
-	case KindReplicate:
+		enc := codec.GetEncoder()
+		appendRouteResult(enc, &res)
+		return enc
+	default: // KindReplicate; serveMux refuses unknown kinds
 		res := s.serveReplicate(payload)
-		if bin {
-			enc = codec.GetEncoder()
-			appendReplicateResult(enc, &res)
-			data = enc.Bytes()
-		} else {
-			data, err = json.Marshal(res)
-		}
+		enc := codec.GetEncoder()
+		appendReplicateResult(enc, &res)
+		return enc
 	}
-	if enc != nil && err == nil {
-		o.Counter("codec_encode_bytes_total").Add(int64(len(data)))
-	}
-	return data, enc, upgrade, err
 }
 
-// decodeRequestPayload sniffs a DGL request payload's encoding and
-// decodes accordingly: binary via internal/codec, anything else via the
-// XML parser.
-func decodeRequestPayload(payload []byte) (*dgl.Request, error) {
-	if codec.IsBinary(payload) {
-		return codec.DecodeRequest(payload)
-	}
-	return dgl.DecodeRequest(payload)
+// badFrame is the typed error for a payload that does not decode.
+func badFrame(what string, err error) string {
+	return dgferr.Encode(fmt.Errorf("%w: bad %s frame: %v", dgferr.ErrInvalid, what, err))
 }
 
 // admit runs a request through the admission scheduler, tracking the
@@ -565,9 +471,9 @@ func (s *Server) release() {
 // services it. Errors become error responses rather than dropped
 // connections — clients always get an answer per request.
 func (s *Server) serveDGL(ctx context.Context, payload []byte) *dgl.Response {
-	req, err := decodeRequestPayload(payload)
+	req, err := codec.DecodeRequest(payload)
 	if err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
+		return &dgl.Response{Error: badFrame("dgl", err)}
 	}
 	id := req.User.Name
 	if s.tenancyOn() {
@@ -620,15 +526,9 @@ func (s *Server) dispatchDGL(req *dgl.Request) *dgl.Response {
 // submission occupies one admission slot under the originating user,
 // exactly like a direct submit.
 func (s *Server) serveRoute(ctx context.Context, payload []byte) RouteResult {
-	if s.minor() < routeMinor {
-		return RouteResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: route frames need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, routeMinor), s.proto()))}
-	}
-	var rt Route
-	if err := json.Unmarshal(payload, &rt); err != nil {
-		return RouteResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad route frame: %v", dgferr.ErrInvalid, err))}
+	rt, err := decodeRoute(payload)
+	if err != nil {
+		return RouteResult{Error: badFrame("route", err)}
 	}
 	if s.routeHandler == nil {
 		return RouteResult{Error: dgferr.Encode(
@@ -657,21 +557,9 @@ func (s *Server) serveRoute(ctx context.Context, payload []byte) RouteResult {
 // stops acking because the primary saturated it would turn overload
 // into replication lag, and lag into data-loss exposure.
 func (s *Server) serveReplicate(payload []byte) ReplicateResult {
-	if s.minor() < replMinor {
-		return ReplicateResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: replicate frames need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, replMinor), s.proto()))}
-	}
-	var f Replicate
-	if codec.IsBinary(payload) {
-		var derr error
-		if f, derr = decodeReplicate(payload); derr != nil {
-			return ReplicateResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad replicate frame: %v", dgferr.ErrInvalid, derr))}
-		}
-	} else if err := json.Unmarshal(payload, &f); err != nil {
-		return ReplicateResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad replicate frame: %v", dgferr.ErrInvalid, err))}
+	f, err := decodeReplicate(payload)
+	if err != nil {
+		return ReplicateResult{Error: badFrame("replicate", err)}
 	}
 	if s.replHandler == nil {
 		return ReplicateResult{Error: dgferr.Encode(
@@ -681,116 +569,60 @@ func (s *Server) serveReplicate(payload []byte) ReplicateResult {
 }
 
 // serveBatch services a KindBatch frame: N DGL requests in one frame,
-// answered positionally. The whole batch occupies one admission slot
-// (it is one frame of one user); items fail independently via per-item
-// error responses. The reply envelope mirrors the request envelope's
-// encoding, and each item's response mirrors that item's encoding —
-// a binary envelope may legally carry XML items. Returns encoded reply
-// bytes directly (per-item encodings vary, so the caller can't encode);
-// the same enc contract as handleFrame applies.
-func (s *Server) serveBatch(ctx context.Context, payload []byte) ([]byte, *codec.Encoder, error) {
-	bin := codec.IsBinary(payload)
-	fail := func(ferr error) ([]byte, *codec.Encoder, error) {
-		if bin {
-			enc := codec.GetEncoder()
-			appendBatchResult(enc, false, dgferr.Encode(ferr), nil)
-			return enc.Bytes(), enc, nil
-		}
-		data, jerr := json.Marshal(BatchResult{Error: dgferr.Encode(ferr)})
-		return data, nil, jerr
-	}
-	var user, token string
-	var items [][]byte
-	if bin {
-		var derr error
-		user, token, items, derr = decodeBatch(payload)
-		if derr != nil {
-			return fail(fmt.Errorf("%w: bad batch frame: %v", dgferr.ErrInvalid, derr))
-		}
-	} else {
-		var b Batch
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fail(fmt.Errorf("%w: bad batch frame: %v", dgferr.ErrInvalid, err))
-		}
-		user = b.User
-		token = b.Token
-		items = make([][]byte, len(b.Requests))
-		for i, r := range b.Requests {
-			items[i] = []byte(r)
-		}
+// answered positionally with encoded responses. The whole batch
+// occupies one admission slot (it is one frame of one user); items fail
+// independently via per-item error responses, and ok is false only for
+// an envelope-level failure described by errText.
+func (s *Server) serveBatch(ctx context.Context, payload []byte) (ok bool, errText string, out [][]byte) {
+	user, token, items, err := decodeBatch(payload)
+	if err != nil {
+		return false, badFrame("batch", err), nil
 	}
 	id := user
 	if s.tenancyOn() {
-		var terr error
-		id, terr = s.resolveTenant(token, user)
-		if terr != nil {
-			return fail(terr)
+		if id, err = s.resolveTenant(token, user); err != nil {
+			return false, dgferr.Encode(err), nil
 		}
 	}
 	if err := s.admit(ctx, id); err != nil {
-		return fail(err)
+		return false, dgferr.Encode(err), nil
 	}
 	defer s.release()
-	out := make([][]byte, len(items))
+	out = make([][]byte, len(items))
+	ie := codec.GetEncoder()
+	defer codec.PutEncoder(ie)
 	for i, doc := range items {
-		var resp *dgl.Response
-		req, err := decodeRequestPayload(doc)
-		if err != nil {
-			resp = &dgl.Response{Error: dgferr.Encode(err)}
-		} else {
-			if s.tenancyOn() {
-				// Items run under the envelope's verified identity: an
-				// authenticated batch cannot smuggle items for another
-				// tenant, and each flow item is rate-charged on its own.
-				if s.auth != nil && req.User.Name != "" && req.User.Name != id {
-					resp = &dgl.Response{Error: dgferr.Encode(fmt.Errorf(
-						"%w: batch item user %q does not match tenant %q",
-						dgferr.ErrAuth, req.User.Name, id))}
-					out[i] = encodeBatchItem(doc, resp, i)
-					continue
-				}
-				req.User.Name = id
-				if s.tenants != nil && req.Flow != nil {
-					if err := s.tenants.AllowSubmit(id); err != nil {
-						resp = &dgl.Response{Error: dgferr.Encode(err)}
-						out[i] = encodeBatchItem(doc, resp, i)
-						continue
-					}
-				}
-			}
-			resp = s.dispatchDGL(req)
-		}
-		out[i] = encodeBatchItem(doc, resp, i)
+		ie.Reset()
+		codec.AppendResponse(ie, s.serveBatchItem(doc, id))
+		out[i] = append([]byte(nil), ie.Bytes()...)
 	}
-	if bin {
-		enc := codec.GetEncoder()
-		appendBatchResult(enc, true, "", out)
-		return enc.Bytes(), enc, nil
-	}
-	strs := make([]string, len(out))
-	for i, d := range out {
-		strs[i] = string(d)
-	}
-	data, err := json.Marshal(BatchResult{OK: true, Responses: strs})
-	return data, nil, err
+	return true, "", out
 }
 
-// encodeBatchItem renders one batch item's response in the item's own
-// encoding (binary items get binary replies, XML items XML).
-func encodeBatchItem(doc []byte, resp *dgl.Response, i int) []byte {
-	if codec.IsBinary(doc) {
-		ie := codec.GetEncoder()
-		codec.AppendResponse(ie, resp)
-		data := append([]byte(nil), ie.Bytes()...)
-		codec.PutEncoder(ie)
-		return data
-	}
-	data, err := dgl.Marshal(resp)
+// serveBatchItem services one batch item under the envelope's resolved
+// identity.
+func (s *Server) serveBatchItem(doc []byte, id string) *dgl.Response {
+	req, err := codec.DecodeRequest(doc)
 	if err != nil {
-		data, _ = dgl.Marshal(&dgl.Response{Error: dgferr.Encode(
-			fmt.Errorf("%w: encoding batch item %d: %v", dgferr.ErrInvalid, i, err))})
+		return &dgl.Response{Error: badFrame("batch item", err)}
 	}
-	return data
+	if s.tenancyOn() {
+		// Items run under the envelope's verified identity: an
+		// authenticated batch cannot smuggle items for another tenant,
+		// and each flow item is rate-charged on its own.
+		if s.auth != nil && req.User.Name != "" && req.User.Name != id {
+			return &dgl.Response{Error: dgferr.Encode(fmt.Errorf(
+				"%w: batch item user %q does not match tenant %q",
+				dgferr.ErrAuth, req.User.Name, id))}
+		}
+		req.User.Name = id
+		if s.tenants != nil && req.Flow != nil {
+			if err := s.tenants.AllowSubmit(id); err != nil {
+				return &dgl.Response{Error: dgferr.Encode(err)}
+			}
+		}
+	}
+	return s.dispatchDGL(req)
 }
 
 // serveDelegate services a KindDelegate frame: run the embedded subflow
@@ -805,32 +637,13 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 	outcome := func(out string) {
 		o.Counter("wire_delegations_total", "outcome", out).Inc()
 	}
-	if s.minor() < delegateMinor {
-		outcome("refused")
-		return DelegateResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: delegate frames need protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, delegateMinor), s.proto()))}
-	}
-	var d Delegate
-	if codec.IsBinary(payload) {
-		var derr error
-		if d, derr = decodeDelegate(payload); derr != nil {
-			outcome("invalid")
-			return DelegateResult{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, derr))}
-		}
-	} else if err := json.Unmarshal(payload, &d); err != nil {
-		outcome("invalid")
-		return DelegateResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad delegate frame: %v", dgferr.ErrInvalid, err))}
-	}
-	req, err := decodeRequestPayload([]byte(d.Request))
+	d, err := decodeDelegate(payload)
 	if err != nil {
 		outcome("invalid")
-		return DelegateResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: %v", dgferr.ErrInvalid, err))}
+		return DelegateResult{Error: badFrame("delegate", err)}
 	}
-	if req.Flow == nil {
+	req := d.Request
+	if req == nil || req.Flow == nil {
 		outcome("invalid")
 		return DelegateResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: delegate request carries no flow", dgferr.ErrInvalid))}
@@ -886,11 +699,8 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 		return DelegateResult{ID: exec.ID, Error: dgferr.Encode(fmt.Errorf(
 			"%w: delegation cancelled by server", dgferr.ErrCancelled))}
 	}
-	res := DelegateResult{ID: exec.ID}
 	st := exec.Status(true)
-	if data, merr := dgl.Marshal(&st); merr == nil {
-		res.Status = string(data)
-	}
+	res := DelegateResult{ID: exec.ID, Status: &st}
 	if werr != nil {
 		outcome("error")
 		res.Error = dgferr.Encode(werr)
@@ -901,54 +711,48 @@ func (s *Server) serveDelegate(ctx context.Context, payload []byte) DelegateResu
 	return res
 }
 
-// serveControl handles one control frame. upgrade reports that the verb
-// was a hello negotiating mux framing: the serial loop must switch to
-// serveMux right after writing this reply. (On an already-muxed session
-// the result is ignored by the caller — no double upgrade.)
-func (s *Server) serveControl(payload []byte) (res ControlResult, upgrade bool) {
-	var c Control
-	if codec.IsBinary(payload) {
-		var err error
-		if c, err = decodeControl(payload); err != nil {
-			return ControlResult{Error: "bad control frame: " + err.Error()}, false
-		}
-	} else if err := json.Unmarshal(payload, &c); err != nil {
-		return ControlResult{Error: "bad control frame: " + err.Error()}, false
+// serveControl handles one control frame of a helloed session. A
+// repeated hello re-verifies the offered version and token.
+func (s *Server) serveControl(payload []byte) ControlResult {
+	c, err := decodeControl(payload)
+	if err != nil {
+		return ControlResult{Error: badFrame("control", err)}
 	}
 	if c.Op == "hello" {
 		return s.serveHello(c)
 	}
-	return s.serveControlOp(c), false
+	return s.serveControlOp(c)
 }
 
-// serveHello negotiates the protocol version (docs/WIRE.md, "Version
-// negotiation"): major mismatch is refused; a client minor >= 1.2
-// upgrades the session to mux framing unless the server is SerialOnly.
-func (s *Server) serveHello(c Control) (ControlResult, bool) {
-	major, minor, err := ParseProtoVersion(c.Proto)
+// serveHello answers the hello verb (docs/WIRE.md, "Version
+// negotiation"): a malformed version or a major mismatch is refused
+// with a protocol-class error, and an offered token must verify when a
+// token authority is attached.
+func (s *Server) serveHello(c Control) ControlResult {
+	major, _, err := ParseProtoVersion(c.Proto)
 	if err != nil {
 		return ControlResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: %v", dgferr.ErrProtocol, err))}, false
+			fmt.Errorf("%w: %v", dgferr.ErrProtocol, err))}
 	}
+	proto := ProtoVersion(ProtoMajor, ProtoMinor)
 	if major != ProtoMajor {
 		return ControlResult{Error: dgferr.Encode(fmt.Errorf(
 			"%w: client speaks %s, server speaks %s",
-			dgferr.ErrProtocol, c.Proto, s.proto()))}, false
+			dgferr.ErrProtocol, c.Proto, proto))}
 	}
-	upgrade := !s.cfg.SerialOnly && s.minor() >= muxMinor && MuxSupported(major, minor)
-	res := ControlResult{OK: true, Proto: s.proto()}
-	if c.Token != "" && s.auth != nil && s.minor() >= tenantMinor {
-		// Wire 1.7 credential exchange: a bad token fails the handshake
+	res := ControlResult{OK: true, Proto: proto}
+	if c.Token != "" && s.auth != nil {
+		// Credential exchange: a bad token fails the handshake
 		// immediately — the client learns its credential is dead before
 		// submitting anything.
 		id, err := s.auth.Verify(c.Token)
 		if err != nil {
 			s.engine.Obs().Counter("tenant_auth_failures_total").Inc()
-			return ControlResult{Error: dgferr.Encode(err)}, false
+			return ControlResult{Error: dgferr.Encode(err)}
 		}
 		res.Tenant = id
 	}
-	return res, upgrade
+	return res
 }
 
 // serveControlOp services the non-hello control verbs.
@@ -969,11 +773,6 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 	if c.Op == "tenants" {
 		// Like "owner": resolved before the execution lookup so a
 		// tenancy probe cannot resurrect anything as a side effect.
-		if s.minor() < tenantMinor {
-			return ControlResult{Error: dgferr.Encode(fmt.Errorf(
-				"%w: tenants verb needs protocol >= %s, server advertises %s",
-				dgferr.ErrProtocol, ProtoVersion(ProtoMajor, tenantMinor), s.proto()))}
-		}
 		info := &TenantsInfo{}
 		if s.tenants != nil {
 			limit := c.Limit
@@ -1085,18 +884,12 @@ func (s *Server) serveControlOp(c Control) ControlResult {
 	}
 }
 
-// serveVdata services the "vdata" control verb (wire >= 1.8,
-// docs/VDATA.md): stats, lookup, publish and invalidate against the
+// serveVdata services the "vdata" control verb (docs/VDATA.md): stats, lookup, publish and invalidate against the
 // engine's derivation catalog. Every sub-operation resolves the caller's
 // tenant exactly as submissions do — the bearer token on the frame is
 // re-verified, and with an authority attached it must agree with the
 // claimed user — so no tenant can read or drop another's derivations.
 func (s *Server) serveVdata(c Control) ControlResult {
-	if s.minor() < vdataMinor {
-		return ControlResult{Error: dgferr.Encode(fmt.Errorf(
-			"%w: vdata verb needs protocol >= %s, server advertises %s",
-			dgferr.ErrProtocol, ProtoVersion(ProtoMajor, vdataMinor), s.proto()))}
-	}
 	info := &VdataInfo{}
 	cat := s.engine.Vdata()
 	if cat == nil {

@@ -26,10 +26,9 @@ import (
 //     federation heartbeat.
 //
 // Every availability edge falls back to accepting locally rather than
-// refusing the flow: an unassigned shard, an owner that predates wire
-// 1.5, an unreachable owner after bounded retries. The
-// shard_routes_total{outcome} counter says which path each submission
-// took.
+// refusing the flow: an unassigned shard, an unreachable owner after
+// bounded retries. The shard_routes_total{outcome} counter says which
+// path each submission took.
 
 // routeRetries bounds how many ownership hops routeSubmit chases (a
 // NotOwner refusal or dead owner per hop) before accepting locally.
@@ -99,13 +98,9 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 	if holder == p.Name {
 		return p.acceptLocal(req, sh, "local")
 	}
-	data, err := dgl.Marshal(req)
-	if err != nil {
-		return &dgl.Response{Error: dgferr.Encode(err)}
-	}
 	// The token rides the route envelope so the owning peer re-verifies
 	// the same identity the accepting peer did (docs/TENANCY.md).
-	rt := Route{User: req.User.Name, Token: req.Token, Request: string(data), Shard: sh, Origin: p.Name}
+	rt := Route{User: req.User.Name, Token: req.Token, Request: req, Shard: sh, Origin: p.Name}
 	for attempt := 0; attempt < routeRetries; attempt++ {
 		client, cerr := p.clientFor(holder)
 		if cerr != nil {
@@ -120,12 +115,6 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 				return p.acceptLocal(req, sh, "failover")
 			}
 			continue
-		}
-		if !client.CanRoute() {
-			// The owner predates wire 1.5: it cannot accept a route frame,
-			// so the flow stays where it was submitted — mixed-version
-			// interop keeps every peer accepting (docs/WIRE.md).
-			return p.acceptLocal(req, sh, "unsupported")
 		}
 		res, rerr := client.Route(context.Background(), rt)
 		if res == nil {
@@ -163,13 +152,12 @@ func (p *Peer) routeSubmit(req *dgl.Request) *dgl.Response {
 			p.countRoute("routed")
 			return &dgl.Response{Error: dgferr.Encode(rerr)}
 		}
-		resp, perr := parseResponsePayload([]byte(res.Response))
-		if perr != nil {
+		if res.Response == nil {
 			return &dgl.Response{Error: dgferr.Encode(
-				fmt.Errorf("%w: bad routed response: %v", dgferr.ErrInvalid, perr))}
+				fmt.Errorf("%w: routed reply carries no response", dgferr.ErrInvalid))}
 		}
 		p.countRoute("routed")
-		return resp
+		return res.Response
 	}
 	// Retries exhausted with no reachable owner: keep the flow here so
 	// the submission survives the owner's death (E15's failover path).
@@ -221,12 +209,8 @@ func (p *Peer) handleRoute(rt Route) RouteResult {
 		return RouteResult{NotOwner: true, Owner: holder, Error: dgferr.Encode(fmt.Errorf(
 			"%w: peer %s does not own shard %d", dgferr.ErrResourceDown, p.Name, rt.Shard))}
 	}
-	req, err := decodeRequestPayload([]byte(rt.Request))
-	if err != nil {
-		return RouteResult{Error: dgferr.Encode(
-			fmt.Errorf("%w: bad routed request: %v", dgferr.ErrInvalid, err))}
-	}
-	if req.Flow == nil {
+	req := rt.Request
+	if req == nil || req.Flow == nil {
 		return RouteResult{Error: dgferr.Encode(
 			fmt.Errorf("%w: routed request carries no flow", dgferr.ErrInvalid))}
 	}
@@ -238,12 +222,8 @@ func (p *Peer) handleRoute(rt Route) RouteResult {
 	if resp.Ack != nil && resp.Ack.Valid {
 		mgr.Track(resp.Ack.ID, rt.Shard)
 	}
-	data, merr := dgl.Marshal(resp)
-	if merr != nil {
-		return RouteResult{Error: dgferr.Encode(merr)}
-	}
 	p.countRoute("served")
-	return RouteResult{OK: true, Response: string(data)}
+	return RouteResult{OK: true, Response: resp}
 }
 
 // resolveOwner services the "owner" control verb: which peer owns an

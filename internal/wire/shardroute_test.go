@@ -12,16 +12,17 @@ import (
 	"datagridflow/internal/dgferr"
 	"datagridflow/internal/dgl"
 	"datagridflow/internal/shard"
+	"datagridflow/internal/tenant"
 )
 
 const testShards = 32
 
-// startShardedPeer builds a sharded peer on a fresh engine, registered
-// with the lookup at lookupAddr. cfg pins the wire server (protocol
-// version pinning for interop tests).
+// startShardedPeer builds a sharded peer on a fresh engine with its own
+// metrics registry (so counter assertions hold under -count), registered
+// with the lookup at lookupAddr. cfg tunes the wire server.
 func startShardedPeer(t *testing.T, lookupAddr, name string, cfg ServerConfig) *Peer {
 	t.Helper()
-	e := newEngine(t, name+":")
+	e, _ := newObservedEngine(t, name+":")
 	p := NewPeerConfig(name, e, cfg)
 	p.EnableSharding(shard.NewManager(shard.Config{
 		Self:   name,
@@ -174,44 +175,6 @@ func TestShardRouteLocalPin(t *testing.T) {
 	}
 	if n := routeCount(peerA, "local"); n != 1 {
 		t.Errorf("shard_routes_total{local} = %d", n)
-	}
-}
-
-// TestShardMixedVersionInterop: when the shard owner predates wire 1.5
-// it cannot accept route frames; the submitting peer keeps the flow
-// instead of refusing it.
-func TestShardMixedVersionInterop(t *testing.T) {
-	_, lookupAddr := startLookupSharded(t, testShards)
-	peerA := startShardedPeer(t, lookupAddr, "siteA", ServerConfig{})
-	peerB := startShardedPeer(t, lookupAddr, "siteB", ServerConfig{ProtoMinor: 4})
-	settle(t, peerA, peerB)
-
-	flowName, _ := flowOwnedBy(t, peerB, "user")
-	c := dial(t, peerA.Addr())
-	if _, err := c.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Submit(context.Background(), dgl.NewAsyncRequest("user", "", execFlow(flowName)))
-	if err != nil || res.Err() != nil {
-		t.Fatalf("submit to 1.4 owner: %v / %v", err, res.Err())
-	}
-	if !strings.HasPrefix(res.ID, "siteA:") {
-		t.Fatalf("id = %q, want siteA-prefixed (local accept on unsupported owner)", res.ID)
-	}
-	if n := routeCount(peerA, "unsupported"); n != 1 {
-		t.Errorf("shard_routes_total{unsupported} = %d", n)
-	}
-	// And a 1.4 server refuses a raw route frame with a protocol error.
-	cB := dial(t, peerB.Addr())
-	if _, err := cB.Hello(); err != nil {
-		t.Fatal(err)
-	}
-	if cB.CanRoute() {
-		t.Fatalf("CanRoute = true against a 1.4 server")
-	}
-	_, err = cB.Route(context.Background(), Route{User: "user", Shard: 1})
-	if !errors.Is(err, dgferr.ErrProtocol) {
-		t.Errorf("raw route to 1.4 server = %v, want ErrProtocol", err)
 	}
 }
 
@@ -385,10 +348,9 @@ func TestSubmitOptions(t *testing.T) {
 	}
 }
 
-// TestRedialRefreshesNegotiation is the satellite-3 regression: a
-// client that redials after a connection drop must re-run hello so the
-// negotiated state (mux, binary, server version) describes the new
-// connection — including against a server that came back older.
+// TestRedialRefreshesNegotiation: a client that redials after a connection drop must re-run hello so the
+// session state describes the new connection — including against a
+// server that came back refusing the client's credential.
 func TestRedialRefreshesNegotiation(t *testing.T) {
 	e := newEngine(t, "")
 	s := NewServer(e)
@@ -397,12 +359,16 @@ func TestRedialRefreshesNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := dial(t, addr)
+	auth, err := tenant.NewAuthority([]byte("first-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetToken(mint(t, auth, "user"))
 	if _, err := c.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Muxed() || !c.Binary() || !c.CanRoute() {
-		t.Fatalf("fresh 1.%d session: muxed=%v binary=%v route=%v",
-			ProtoMinor, c.Muxed(), c.Binary(), c.CanRoute())
+	if !c.Muxed() || !c.Binary() {
+		t.Fatalf("fresh session: muxed=%v binary=%v", c.Muxed(), c.Binary())
 	}
 
 	// Drop the connection out from under the client: in-flight state
@@ -411,37 +377,41 @@ func TestRedialRefreshesNegotiation(t *testing.T) {
 	if _, err := c.Status("user", "x", false); err == nil {
 		t.Fatalf("request survived a dead connection")
 	}
-	// Same server still up: redial restores the full negotiation.
+	// Same server still up: redial restores the session.
 	if err := c.Redial(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Muxed() || !c.Binary() || !c.CanRoute() {
-		t.Errorf("redialed session lost negotiation: muxed=%v binary=%v route=%v",
-			c.Muxed(), c.Binary(), c.CanRoute())
+	if !c.Muxed() || !c.Binary() {
+		t.Errorf("redialed session lost negotiation: muxed=%v binary=%v", c.Muxed(), c.Binary())
 	}
 	if _, err := c.Status("user", "nope", false); !errors.Is(err, dgferr.ErrNotFound) {
 		t.Errorf("post-redial request = %v, want typed ErrNotFound", err)
 	}
 
-	// The server restarts downgraded (pinned to 1.1: no mux, no binary,
-	// no routing). Redial must renegotiate down, not reuse 1.5 state.
+	// The server restarts with a token authority under another secret:
+	// the client's token no longer verifies, so the redial's hello is
+	// refused and the client must not reuse the old session state.
 	s.Close()
-	s2 := NewServerConfig(e, ServerConfig{ProtoMinor: 1})
+	s2 := NewServer(e)
+	other, err := tenant.NewAuthority([]byte("second-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.SetTenancy(other, nil, false)
 	if _, err := s2.Listen(addr); err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	t.Cleanup(s2.Close)
-	if err := c.Redial(context.Background()); err != nil {
-		t.Fatal(err)
+	if err := c.Redial(context.Background()); !errors.Is(err, dgferr.ErrAuth) {
+		t.Fatalf("redial against a refusing server = %v, want ErrAuth", err)
 	}
-	if c.Muxed() || c.Binary() || c.CanRoute() {
-		t.Errorf("redial against 1.1 server kept 1.5 state: muxed=%v binary=%v route=%v",
-			c.Muxed(), c.Binary(), c.CanRoute())
+	if c.Muxed() || c.Binary() {
+		t.Errorf("refused redial kept session state: muxed=%v binary=%v", c.Muxed(), c.Binary())
 	}
-	if _, minor := c.ServerProto(); minor != 1 {
-		t.Errorf("negotiated minor = %d, want 1", minor)
-	}
+	// With a credential the new server accepts, the next request runs
+	// the exchange itself and is served.
+	c.SetToken(mint(t, other, "user"))
 	if _, err := c.Status("user", "nope", false); !errors.Is(err, dgferr.ErrNotFound) {
-		t.Errorf("downgraded session request = %v, want typed ErrNotFound", err)
+		t.Errorf("request after re-credentialing = %v, want typed ErrNotFound", err)
 	}
 }

@@ -43,7 +43,7 @@ func mint(t testing.TB, auth *tenant.Authority, name string) string {
 	return tok
 }
 
-// TestHelloTokenExchange covers the wire 1.7 credential exchange: a
+// TestHelloTokenExchange covers the hello credential exchange: a
 // valid token yields the verified tenant on the hello result; a forged
 // token fails the handshake before anything is submitted.
 func TestHelloTokenExchange(t *testing.T) {
@@ -61,9 +61,6 @@ func TestHelloTokenExchange(t *testing.T) {
 	if got := c.Tenant(); got != "alice" {
 		t.Errorf("Tenant() = %q, want alice", got)
 	}
-	if !c.CanTenant() {
-		t.Errorf("CanTenant() = false on a 1.7 server")
-	}
 
 	// Forged token: handshake refused.
 	bad, err := Dial(addr)
@@ -74,6 +71,9 @@ func TestHelloTokenExchange(t *testing.T) {
 	bad.SetToken("dgt1.YWxpY2U.9999999999.Zm9yZ2Vk")
 	if _, err := bad.Hello(); err == nil {
 		t.Fatal("hello with a forged token succeeded")
+	}
+	if bad.Muxed() {
+		t.Error("refused hello left the session negotiated")
 	}
 }
 
@@ -130,45 +130,38 @@ func TestTokenUserMismatch(t *testing.T) {
 	}
 }
 
-// TestMixedVersionInterop16x17 covers both directions of the 1.6↔1.7
-// interop story (docs/WIRE.md): a pre-tenant client against a tenancy
+// TestTokenlessAndUntenantedInterop covers both directions of mixing
+// tenancy postures (docs/WIRE.md): a tokenless client against a tenancy
 // server is anonymous-but-admitted, and a tokened client against a
-// pre-tenant server works because the appended token fields are
-// skipped by the older decoders.
-func TestMixedVersionInterop16x17(t *testing.T) {
-	// Pre-tenant (tokenless, today's framing) client → 1.7 server.
+// server without a token authority works, its token ignored.
+func TestTokenlessAndUntenantedInterop(t *testing.T) {
+	// Tokenless client → tenancy server.
 	_, addr, _, _ := tenantServer(t, false, ServerConfig{})
-	old, err := Dial(addr)
+	anon, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-	if _, err := old.Hello(); err != nil {
+	defer anon.Close()
+	if _, err := anon.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	if got := old.Tenant(); got != "" {
+	if got := anon.Tenant(); got != "" {
 		t.Errorf("tokenless hello negotiated tenant %q", got)
 	}
-	resp, err := old.SubmitFlow("user", noopFlow("f"))
+	resp, err := anon.SubmitFlow("user", noopFlow("f"))
 	if err != nil || resp.Error != "" {
 		t.Fatalf("anonymous-but-admitted submit = %v / %q", err, resp.Error)
 	}
 
-	// Tokened 1.7 client → server pinned to 1.6 (pre-tenant). The token
-	// rides the request and is ignored; the session reports no tenant
-	// support and the tenants verb refuses.
-	e := newEngine(t, "old")
-	s := NewServerConfig(e, ServerConfig{ProtoMinor: 6})
-	oldAddr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
+	// Tokened client → server without tenancy. The token rides the
+	// request and is ignored; the tenants verb reports tenancy off.
+	e := newEngine(t, "plain")
+	_, plainAddr := startServer(t, e)
 	auth, err := tenant.NewAuthority([]byte("wire-test-secret"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := Dial(oldAddr)
+	nc, err := Dial(plainAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +170,16 @@ func TestMixedVersionInterop16x17(t *testing.T) {
 	if _, err := nc.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	if nc.CanTenant() {
-		t.Errorf("CanTenant() = true against a 1.6 server")
-	}
 	if got := nc.Tenant(); got != "" {
-		t.Errorf("1.6 server granted tenant %q", got)
+		t.Errorf("untenanted server granted tenant %q", got)
 	}
 	resp, err = nc.SubmitFlow("user", noopFlow("f"))
 	if err != nil || resp.Error != "" {
-		t.Fatalf("tokened submit to 1.6 server = %v / %q", err, resp.Error)
+		t.Fatalf("tokened submit to untenanted server = %v / %q", err, resp.Error)
 	}
-	if _, err := nc.Tenants(0); err == nil {
-		t.Error("tenants verb succeeded against a 1.6 server")
+	info, err := nc.Tenants(0)
+	if err != nil || info.Enabled {
+		t.Errorf("tenants verb on an untenanted server = %+v, %v", info, err)
 	}
 }
 
@@ -252,7 +243,7 @@ func TestBatchEnvelopeIdentity(t *testing.T) {
 		dgl.NewAsyncRequest("alice", "", noopFlow("b")), // matches: fine
 		dgl.NewAsyncRequest("mallory", "", noopFlow("c")),
 	}
-	resps, err := c.SubmitBatch(context.Background(), "alice", reqs)
+	resps, err := submitBatch(context.Background(), c, "alice", reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +290,11 @@ func TestQuotaRejectionOverWire(t *testing.T) {
 	}
 	hold := dgl.NewFlow("hold").
 		Step("op", dgl.Op(dgl.OpSleep, map[string]string{"duration": "30s"})).Flow()
-	id, err := c.SubmitAsync("alice", hold)
+	id, err := submitAsync(c, "alice", hold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.SubmitAsync("alice", hold)
+	_, err = submitAsync(c, "alice", hold)
 	if err == nil || !errors.Is(err, dgferr.ErrQuota) {
 		t.Fatalf("second flow = %v, want typed ErrQuota", err)
 	}

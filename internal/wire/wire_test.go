@@ -129,7 +129,7 @@ func TestClientServerAsyncAndControl(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Step(fmt.Sprintf("s%d", i), dgl.Op(dgl.OpNoop, nil))
 	}
-	id, err := c.SubmitAsync("user", b.Flow())
+	id, err := submitAsync(c, "user", b.Flow())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCancelAndRestartOverWire(t *testing.T) {
 	flow := dgl.NewFlow("f").
 		Step("ok", dgl.Op(dgl.OpNoop, nil)).
 		Step("flaky", dgl.Op("flaky", nil)).Flow()
-	id, err := c.SubmitAsync("user", flow)
+	id, err := submitAsync(c, "user", flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCancelAndRestartOverWire(t *testing.T) {
 		<-release
 		return nil
 	})
-	id3, err := c.SubmitAsync("user", dgl.NewFlow("g").
+	id3, err := submitAsync(c, "user", dgl.NewFlow("g").
 		Step("g1", dgl.Op("gate2", nil)).
 		Step("g2", dgl.Op(dgl.OpNoop, nil)).Flow())
 	if err != nil {
@@ -423,7 +423,7 @@ func TestListExecutionsOverWire(t *testing.T) {
 		t.Fatalf("empty list = %v, %v", rows, err)
 	}
 	flow := dgl.NewFlow("listed").Step("s", dgl.Op(dgl.OpNoop, nil)).Flow()
-	id, err := c.SubmitAsync("user", flow)
+	id, err := submitAsync(c, "user", flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestSubmitAsyncErrorPaths(t *testing.T) {
 	defer c.Close()
 	// Invalid flow: SubmitAsync surfaces the server error.
 	bad := dgl.NewFlow("bad").Step("s", dgl.Op("nosuch", nil)).Flow()
-	if _, err := c.SubmitAsync("user", bad); err == nil {
+	if _, err := submitAsync(c, "user", bad); err == nil {
 		t.Errorf("invalid async flow accepted")
 	}
 	// Status of unknown id errors.
